@@ -3,8 +3,7 @@
 The PR-10 one-pass grid engine simulates an entire ``(set-counts ×
 ways)`` LRU design grid in one stack-distance pass per set count per
 chunk.  This benchmark times that against the obvious alternative the
-grid replaces: one pipeline-compiled per-config ``Cache2000``
-simulation per cell, driven over the same chunk sequence (the shape of
+grid replaces: one per-config ``Cache2000`` simulation per cell, driven over the same chunk sequence (the shape of
 a per-config farm loop, minus process overhead — the comparison is
 deliberately generous to the per-config side).
 
@@ -22,8 +21,8 @@ deliberately generous to the per-config side).
   about as fast; the record documents that boundary (see
   docs/INTERNALS.md, "when per-config is cheaper").
 
-Each timed side takes the best of three repetitions with fresh state,
-as in :mod:`benchmarks.perf.pipeline`.  Results are emitted as
+Each timed side takes the best of three repetitions with fresh state.
+Results are emitted as
 ``BENCH_PR10.json`` — the same schema-versioned envelope as
 ``BENCH_PR3.json`` — and the trend watchdog (``benchmarks/trend.py``)
 gates ``results.speedup`` against the best committed snapshot.  Run

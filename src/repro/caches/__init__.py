@@ -16,26 +16,22 @@ from repro.caches.replacement import (
     make_policy,
 )
 from repro.caches.cache import SetAssociativeCache, MissOutcome
-from repro.caches.kernels import GroupedSetKernel, supports_policy
 from repro.caches.gridsweep import (
     DistanceHistogram,
     GridSweepReport,
     GridSweepSimulator,
     grid_rows,
-    grid_supported,
     run_grid_sweep,
 )
 from repro.caches.pipeline import (
     KernelProgram,
     KernelRegistry,
-    KernelRequest,
-    cache_request,
-    compile_kernel,
+    cache_kernel,
     default_registry,
-    grid_request,
-    scan_request,
-    sweep_request,
-    tlb_request,
+    dm_sweep_kernel,
+    grid_kernel,
+    grid_supported,
+    tlb_kernel,
 )
 from repro.caches.tlb import SimulatedTLB
 from repro.caches.multilevel import SplitCache, TwoLevelCache
@@ -49,7 +45,7 @@ __all__ = [
     "DistanceHistogram",
     "GridSweepReport",
     "GridSweepSimulator",
-    "grid_request",
+    "grid_kernel",
     "grid_rows",
     "grid_supported",
     "run_grid_sweep",
@@ -60,17 +56,12 @@ __all__ = [
     "make_policy",
     "SetAssociativeCache",
     "MissOutcome",
-    "GroupedSetKernel",
-    "supports_policy",
     "KernelProgram",
     "KernelRegistry",
-    "KernelRequest",
-    "cache_request",
-    "compile_kernel",
+    "cache_kernel",
     "default_registry",
-    "scan_request",
-    "sweep_request",
-    "tlb_request",
+    "dm_sweep_kernel",
+    "tlb_kernel",
     "SimulatedTLB",
     "SplitCache",
     "TwoLevelCache",

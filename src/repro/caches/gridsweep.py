@@ -4,18 +4,19 @@ Figure 1's caption names single-pass stack simulators as the classic
 answer to trace-driven repetition cost; this module generalizes the two
 narrow corners the repo already had (``MultiSizeDMSweep``'s power-of-two
 DM sizes, ``StackSimulator``'s fully-associative LRU) to the *whole*
-``(set-counts × ways)`` LRU grid: for each set count the compiled grid
-kernel (:func:`repro.caches.pipeline.compose.compose_grid`) extracts
-per-set LRU stack distances in one pass over the chunk, and a recorded
+``(set-counts × ways)`` LRU grid: for each set count the grid kernel
+(:func:`repro.caches.pipeline.grid_kernel`) extracts per-set LRU stack
+distances in one pass over the chunk, and a recorded
 distance ``d`` means a hit at every associativity ``A > d`` — so a 4×8
 grid of 32 configurations costs ~4 distance passes instead of 32
 simulations, and is bit-equal to running ``Cache2000`` per cell.
 
 Exactness conditions: LRU only (stack inclusion is what lets one pass
 price every ways column; FIFO is not a stack algorithm, and seeded
-random consumes its RNG in global miss order).  :func:`grid_supported`
-is the dispatch predicate — unsupported policies route to per-config
-kernels.
+random consumes its RNG in global miss order).
+:func:`~repro.caches.pipeline.grid_supported` is the predicate, and
+``grid_kernel`` raises for unsupported policies — those route to
+per-config kernels.
 
 Farm integration submits *one* content-addressed job per (workload,
 grid) — ``grid_measure`` below, registered as ``"grid.sweep"`` — whose
@@ -33,9 +34,8 @@ import numpy as np
 
 from repro._types import Indexing
 from repro.caches.config import GridConfig
-from repro.caches.pipeline import compile_kernel, grid_request
-from repro.caches.replacement import LRUPolicy, ReplacementPolicy
-from repro.errors import ConfigError
+from repro.caches.pipeline import grid_kernel
+from repro.caches.replacement import ReplacementPolicy
 from repro.telemetry import session as telemetry_session
 from repro.telemetry.profile import PROFILE_BUCKET_SECS
 
@@ -43,21 +43,6 @@ from repro.telemetry.profile import PROFILE_BUCKET_SECS
 #: pass — dearer than the DM sweep's table probe (bounded stack search)
 #: but far below a full Cache2000 visit per *configuration*
 GRIDSWEEP_CYCLES_PER_ADDRESS_PER_PASS = 40
-
-
-def grid_supported(policy: ReplacementPolicy | str | None) -> bool:
-    """Can the one-pass grid engine price this policy exactly?
-
-    Only LRU has the stack-inclusion property (an A-way LRU set holds
-    exactly the top A entries of the unbounded per-set LRU stack) that
-    lets one distance pass answer every associativity.  FIFO is not a
-    stack algorithm, and seeded random draws victims in global miss
-    order — both must run per-config.
-    """
-    if policy is None or isinstance(policy, LRUPolicy):
-        return True
-    name = policy if isinstance(policy, str) else getattr(policy, "name", "")
-    return name == "lru"
 
 
 @dataclass(frozen=True)
@@ -104,14 +89,14 @@ class DistanceHistogram:
 
 
 class GridSweepSimulator:
-    """Chunk-driven all-associativity sweep over one compiled kernel.
+    """Chunk-driven all-associativity sweep over one grid kernel.
 
-    The same shape as ``Cache2000``: construction compiles (or fetches)
-    the grid kernel through the keyed registry, ``simulate_chunk``
-    folds address chunks in, and the results — every cell's exact miss
-    count plus per-set-count distance histograms — are extracted on
-    demand.  Consumes PR 5 compiled streams transparently (the *driver*
-    resolves streams; the simulator only sees address arrays).
+    The same shape as ``Cache2000``: construction builds (or fetches)
+    the grid kernel, which raises for non-LRU policies,
+    ``simulate_chunk`` folds address chunks in, and the results — every
+    cell's exact miss count plus per-set-count distance histograms — are
+    extracted on demand.  Consumes compiled streams transparently (the
+    *driver* resolves streams; the simulator only sees address arrays).
     """
 
     def __init__(
@@ -120,15 +105,9 @@ class GridSweepSimulator:
         policy: ReplacementPolicy | None = None,
         profile: bool | None = None,
     ) -> None:
-        if not grid_supported(policy):
-            raise ConfigError(
-                f"the one-pass grid engine is exact for LRU only; "
-                f"{getattr(policy, 'name', policy)!r} configurations "
-                f"must be simulated per-config"
-            )
         self.grid = grid
-        program = compile_kernel(grid_request(grid, policy, profile))
-        #: the pipeline's capability report (always the grid kernel)
+        program = grid_kernel(grid, policy, profile)
+        #: the kernel factory's report (always the grid kernel)
         self.capabilities = program.capabilities
         self._run = program.run
         self._extract = program.extract

@@ -29,18 +29,13 @@ evaluated per congruence class).  Two further exact reductions apply:
 
 What cannot be grouped: a shared-RNG random replacement policy consumes
 its stream in global miss order, which grouping reorders.  Such configs
-must stay on the per-reference path — :func:`supports_policy` is the
-dispatch predicate the drivers use.
+must stay on the per-reference path; :mod:`repro.caches.pipeline`
+routes them there.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.caches.config import CacheConfig
-from repro.caches.replacement import FIFOPolicy, LRUPolicy, ReplacementPolicy
-from repro.errors import ConfigError
-from repro.telemetry.profile import phase
 
 #: space id range mixed into packed keys (tids must stay below this)
 MAX_SPACES = 4096
@@ -49,36 +44,20 @@ MAX_SPACES = 4096
 GROUPABLE_POLICIES = ("lru", "fifo")
 
 
-def supports_policy(policy: ReplacementPolicy | None) -> bool:
-    """Can the grouped kernel replay this policy bit-identically?
-
-    LRU and FIFO qualify (per-set state, no cross-set coupling).  A
-    seeded random policy draws victims from one RNG stream in global
-    miss order, which grouping would permute — so it does not.
-    """
-    return isinstance(policy, (LRUPolicy, FIFOPolicy))
-
-
 def dm_grouped_pass(
-    state: np.ndarray,
-    sets: np.ndarray,
-    keys: np.ndarray,
-    order: np.ndarray | None = None,
+    state: np.ndarray, sets: np.ndarray, keys: np.ndarray
 ) -> int:
     """One exact direct-mapped pass: update ``state``, return misses.
 
     ``state`` maps set index -> resident key (-1 = empty).  A
     direct-mapped set always holds the last key that touched it, so a
     reference misses iff its key differs from its set's previous key;
-    the per-set *last* key is written back.  ``order`` may carry a
-    precomputed stable argsort of ``sets`` (the multi-size sweep shares
-    one across sizes with equal set counts).
+    the per-set *last* key is written back.
     """
     n = len(sets)
     if n == 0:
         return 0
-    if order is None:
-        order = np.argsort(sets, kind="stable")
+    order = np.argsort(sets, kind="stable")
     sets_sorted = sets[order]
     keys_sorted = keys[order]
     first = np.empty(n, dtype=bool)
@@ -220,97 +199,3 @@ def collapse_consecutive(
     keep[0] = True
     np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=keep[1:])
     return keep
-
-
-class GroupedSetKernel:
-    """Vectorized set-associative engine, bit-identical to the
-    per-reference :class:`~repro.caches.cache.SetAssociativeCache`
-    under LRU or FIFO replacement (any associativity).
-
-    Keys pack ``(line number, space)`` into one int64 —
-    ``line * MAX_SPACES + space`` — so numpy comparisons and the
-    per-run Python loop both work on plain ints.
-    """
-
-    def __init__(self, config: CacheConfig, policy_name: str = "lru") -> None:
-        if policy_name not in GROUPABLE_POLICIES:
-            raise ConfigError(
-                f"the grouped kernel cannot replay {policy_name!r} "
-                f"replacement exactly; choose from {GROUPABLE_POLICIES}"
-            )
-        self.config = config
-        self.policy_name = policy_name
-        self._lru = policy_name == "lru"
-        self.n_sets = config.n_sets
-        self.associativity = config.associativity
-        if self.associativity == 1:
-            self._state: np.ndarray | None = np.full(
-                self.n_sets, -1, dtype=np.int64
-            )
-            self._sets: list[list[int]] | None = None
-        else:
-            self._state = None
-            self._sets = [[] for _ in range(self.n_sets)]
-
-    # ------------------------------------------------------------------
-
-    def simulate_chunk(self, addresses: np.ndarray, space: int = 0) -> int:
-        """Simulate one chunk of byte addresses; returns its miss count."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if len(addresses) == 0:
-            return 0
-        if not 0 <= space < MAX_SPACES:
-            raise ConfigError(
-                f"space {space} outside the kernel's packed range "
-                f"[0, {MAX_SPACES})"
-            )
-        lines = addresses >> self.config.line_shift
-        sets = lines % self.n_sets
-        keys = lines * MAX_SPACES + space
-        if self.associativity == 1:
-            with phase("kernels.dm_pass"):
-                return dm_grouped_pass(self._state, sets, keys)
-        with phase("kernels.grouped_set"):
-            order = np.argsort(sets, kind="stable")
-            sets_sorted = sets[order]
-            keys_sorted = keys[order]
-            keep = collapse_consecutive(sets_sorted, keys_sorted)
-            return grouped_stack_pass(
-                self._sets,
-                self.associativity,
-                self._lru,
-                sets_sorted[keep].tolist(),
-                keys_sorted[keep].tolist(),
-            )
-
-    # ------------------------------------------------------------------
-    # state inspection (cross-path equality checks)
-
-    @staticmethod
-    def _decode(key: int, line_shift: int) -> tuple[int, int]:
-        space, line = key % MAX_SPACES, key // MAX_SPACES
-        return space, line << line_shift
-
-    def resident_keys(self) -> set[tuple[int, int]]:
-        """Every resident ``(space, line_addr)`` — the
-        :meth:`SetAssociativeCache.resident_keys` vocabulary."""
-        shift = self.config.line_shift
-        if self._state is not None:
-            return {
-                self._decode(int(key), shift)
-                for key in self._state
-                if key >= 0
-            }
-        return {
-            self._decode(key, shift)
-            for entries in self._sets
-            for key in entries
-        }
-
-    def occupancy(self) -> int:
-        if self._state is not None:
-            return int(np.count_nonzero(self._state >= 0))
-        return sum(len(entries) for entries in self._sets)
-
-    def __len__(self) -> int:
-        return self.occupancy()

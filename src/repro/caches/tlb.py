@@ -14,7 +14,7 @@ import numpy as np
 
 from repro._types import PAGE_SIZE
 from repro.caches.config import TLBConfig
-from repro.caches.pipeline import compile_kernel, tlb_request
+from repro.caches.pipeline import tlb_kernel
 from repro.caches.replacement import LRUPolicy, ReplacementPolicy
 
 Key = tuple[int, int]  # (tid, superpage number)
@@ -33,8 +33,8 @@ class SimulatedTLB:
         self._sets: list[list[Key]] = [[] for _ in range(config.n_sets)]
         self.searches = 0
         self.insertions = 0
-        program = compile_kernel(tlb_request(config, self.policy))
-        #: the pipeline's capability report: which chunk path, and why
+        program = tlb_kernel(config, self.policy)
+        #: the kernel factory's report: which chunk path, and why
         self.capabilities = program.capabilities
         self._chunk_run = program.run
 
@@ -65,14 +65,14 @@ class SimulatedTLB:
     def access_chunk(self, tid: int, vpns: np.ndarray) -> int:
         """Trace-driven path over a whole chunk of VPNs; returns misses.
 
-        Runs the kernel the pass pipeline compiled for this TLB's
-        configuration: under LRU or FIFO replacement a grouped-set pass
-        (stable sort by set, consecutive-duplicate collapse, per-run
-        stack update) that is bit-identical to calling :meth:`access`
-        per reference — including the ``searches``/``insertions``
-        counters and the final entry state, which :meth:`miss_insert`
-        shares.  Other policies get the exact per-reference loop; see
-        ``self.capabilities`` for the decision.
+        Runs the kernel :func:`~repro.caches.pipeline.tlb_kernel` built
+        for this TLB's configuration: under LRU or FIFO replacement a
+        grouped-set pass (stable sort by set, consecutive-duplicate
+        collapse, per-run stack update) that is bit-identical to calling
+        :meth:`access` per reference — including the
+        ``searches``/``insertions`` counters and the final entry state,
+        which :meth:`miss_insert` shares.  Other policies get the exact
+        per-reference loop; see ``self.capabilities`` for the decision.
         """
         return self._chunk_run(self, tid, vpns)
 

@@ -303,26 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     clear = farm_sub.add_parser("clear", help="drop every cached result")
     clear.add_argument("--cache-dir", default=None, metavar="DIR")
 
-    kernels = sub.add_parser(
-        "kernels", help="compiled-kernel pipeline utilities"
-    )
-    kernels_sub = kernels.add_subparsers(dest="kernels_command", required=True)
-    k_stats = kernels_sub.add_parser(
-        "stats", help="show compile-ledger and registry counters"
-    )
-    k_stats.add_argument(
-        "--ledger-dir", default=None, metavar="DIR",
-        help="compile-ledger directory (default .kernel-cache/)",
-    )
-    k_stats.add_argument(
-        "--json", action="store_true",
-        help="emit the counters as a JSON object (machine-readable)",
-    )
-    k_clear = kernels_sub.add_parser(
-        "clear", help="drop the compile ledger"
-    )
-    k_clear.add_argument("--ledger-dir", default=None, metavar="DIR")
-
     streams = sub.add_parser(
         "streams", help="compiled reference-stream store utilities"
     )
@@ -495,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also GC this stream-store directory",
     )
     serve.add_argument(
-        "--kernel-dir", default=None, metavar="DIR",
-        help="also GC this compile-ledger directory",
-    )
-    serve.add_argument(
         "--shard", action="store_true",
         help="migrate the stream tier into two-level shard dirs during GC",
     )
@@ -540,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     j_gc.add_argument("--cache-dir", default=None, metavar="DIR")
     j_gc.add_argument("--stream-dir", default=None, metavar="DIR")
-    j_gc.add_argument("--kernel-dir", default=None, metavar="DIR")
     j_gc.add_argument(
         "--shard", action="store_true",
         help="migrate the stream tier into two-level shard dirs",
@@ -789,7 +764,6 @@ def _print_fault_summary(session) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _attach_kernel_ledger()
     spec = get_workload(args.workload)
     if args.structure == "tlb":
         config = TapewormConfig(
@@ -902,7 +876,6 @@ def _cmd_trace_merge(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if getattr(args, "trace_command", None) == "merge":
         return _cmd_trace_merge(args)
-    _attach_kernel_ledger()
     spec = get_workload(args.workload)
     config = CacheConfig(
         size_bytes=args.cache_size,
@@ -981,7 +954,6 @@ def _build_farm(args: argparse.Namespace, fault_plan=None, stream_session=None):
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    _attach_kernel_ledger()
     fault_plan = _load_fault_plan(args)
     sample = None
     if args.sample_mode == "sampled":
@@ -1240,77 +1212,6 @@ def _cmd_farm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_kernels(args: argparse.Namespace) -> int:
-    from repro.caches.pipeline import (
-        DEFAULT_LEDGER_DIR,
-        clear_ledger,
-        default_registry,
-        read_ledger,
-    )
-
-    ledger_dir = args.ledger_dir or DEFAULT_LEDGER_DIR
-    if args.kernels_command == "clear":
-        dropped = clear_ledger(ledger_dir)
-        print(f"dropped {dropped} compile record(s) from {ledger_dir}/")
-        return 0
-
-    records = read_ledger(ledger_dir)
-    per_kind: dict[str, int] = {}
-    per_path: dict[str, int] = {}
-    forced = 0
-    compile_secs = 0.0
-    for record in records:
-        kind = record.get("kind") or "?"
-        per_kind[kind] = per_kind.get(kind, 0) + 1
-        selected = record.get("selected") or "?"
-        per_path[selected] = per_path.get(selected, 0) + 1
-        if "forced:request" in (record.get("reasons") or ()):
-            forced += 1
-        compile_secs += float(record.get("compile_secs") or 0.0)
-    counters = default_registry().counters()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ledger_dir": str(ledger_dir),
-                    "ledger_compiles": len(records),
-                    "per_kind": per_kind,
-                    "per_path": per_path,
-                    "forced_general": forced,
-                    "ledger_compile_secs": round(compile_secs, 6),
-                    "registry": counters,
-                },
-                indent=2, sort_keys=True,
-            )
-        )
-        return 0
-    print(f"ledger dir      : {ledger_dir}/")
-    print(f"ledger compiles : {len(records)}")
-    for kind in sorted(per_kind):
-        print(f"  kind {kind:<12}: {per_kind[kind]}")
-    for path in sorted(per_path):
-        print(f"  path {path:<12}: {per_path[path]}")
-    print(f"forced general  : {forced}")
-    print(f"compile seconds : {compile_secs:.6f}")
-    print("registry (this process)")
-    print(f"  programs      : {counters['programs']}")
-    print(f"  compiles      : {counters['compiles']}")
-    print(f"  lookup hits   : {counters['lookup_hits']}")
-    print(f"  lookup misses : {counters['lookup_misses']}")
-    return 0
-
-
-def _attach_kernel_ledger() -> None:
-    """Record this process's kernel compiles in the on-disk ledger.
-
-    Attached only by CLI entry points — library and test constructions
-    stay ledger-free so they never write into the caller's cwd.
-    """
-    from repro.caches.pipeline import DEFAULT_LEDGER_DIR, default_registry
-
-    default_registry().attach_ledger(DEFAULT_LEDGER_DIR)
-
-
 def _cmd_streams(args: argparse.Namespace) -> int:
     from repro.streams import StreamSession, StreamStore
     from repro.streams.store import DEFAULT_STORE_DIR
@@ -1379,7 +1280,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.caches.gridsweep import grid_job, grid_rows
     from repro.farm import Farm, FarmConfig
 
-    _attach_kernel_ledger()
     grid = GridConfig(
         set_counts=tuple(args.sets),
         ways=tuple(args.ways),
@@ -1675,7 +1575,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             cache_budget_bytes=args.cache_budget,
             stream_dir=args.stream_dir,
-            kernel_dir=args.kernel_dir,
             shard=args.shard,
         )
     )
@@ -1744,7 +1643,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         collector.collect(
             farm_dir=cache_dir,
             stream_dir=args.stream_dir,
-            kernel_dir=args.kernel_dir,
             shard=args.shard,
         )
         summary = collector.summary()
@@ -1896,7 +1794,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "profile": _cmd_profile,
         "assess-port": _cmd_assess_port,
         "farm": _cmd_farm,
-        "kernels": _cmd_kernels,
         "streams": _cmd_streams,
         "sweep": _cmd_sweep,
         "sample": _cmd_sample,

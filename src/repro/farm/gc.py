@@ -1,18 +1,18 @@
-"""Size-budgeted shard/GC layer over the three cache tiers.
+"""Size-budgeted shard/GC layer over the two cache tiers.
 
-A service that runs for days accretes three on-disk caches: the farm
-result store (``.farm-cache/results.jsonl``), the compiled-stream store
-(``.stream-cache/*.npy`` + sidecars) and the kernel compile ledger
-(``.kernel-cache/compiles.jsonl``).  All three are content-addressed by
-SHA-256-derived keys and append-only, so left alone they only grow.
+A service that runs for days accretes two on-disk caches: the farm
+result store (``.farm-cache/results.jsonl``) and the compiled-stream
+store (``.stream-cache/*.npy`` + sidecars).  Both are content-addressed
+by SHA-256-derived keys and append-only, so left alone they only grow.
 :class:`CacheGC` brings each tier under a byte budget without ever
 breaking the reproducibility contract:
 
 LRU by atime
-    Blob tiers evict least-recently-*used* first (``st_atime`` of the
-    blob, which every verified ``get`` touches), so the hot working set
-    survives.  Ledger tiers drop oldest records first (append order is
-    recency order for JSONL stores whose latest-per-key record wins).
+    The blob tier evicts least-recently-*used* first (``st_atime`` of
+    the blob, which every verified ``get`` touches), so the hot working
+    set survives.  The ledger tier drops oldest records first (append
+    order is recency order for a JSONL store whose latest-per-key
+    record wins).
 
 pinning
     Keys named by a live journal lease (queued or leased jobs in the
@@ -224,16 +224,14 @@ class CacheGC:
         report.bytes_after = total
         return report
 
-    # -- the JSONL ledger tiers (farm results, kernel compiles)
+    # -- the JSONL ledger tier (farm results)
 
-    def _collect_ledger(
-        self,
-        tier: str,
-        path: Path,
-        key_field: str,
-        pinned: frozenset[str],
-    ) -> TierReport:
-        report = TierReport(tier=tier, directory=str(path.parent))
+    def collect_farm_tier(self, directory: str | Path) -> TierReport:
+        """Budget the farm result store, honoring journal pins."""
+        from repro.farm.cache import RESULTS_FILE
+
+        path = Path(directory) / RESULTS_FILE
+        report = TierReport(tier="farm", directory=str(path.parent))
         self.reports.append(report)
         if not path.exists():
             return report
@@ -253,7 +251,7 @@ class CacheGC:
                 continue  # torn tails die in the rewrite
             if not isinstance(record, dict):
                 continue
-            records.append((str(record.get(key_field, "")), line))
+            records.append((str(record.get("key", "")), line))
         report.scanned = len(records)
         if (
             self.budget_bytes is None
@@ -270,7 +268,7 @@ class CacheGC:
             if key and key in seen:
                 continue  # an older duplicate of a kept record
             cost = len(line) + 1
-            if key and key in pinned:
+            if key and key in self.pins:
                 report.pinned_skips += 1
             elif total + cost > budget:
                 report.evicted += 1
@@ -284,36 +282,12 @@ class CacheGC:
         report.bytes_after = len(body.encode("utf-8"))
         return report
 
-    def collect_farm_tier(self, directory: str | Path) -> TierReport:
-        """Budget the farm result store, honoring journal pins."""
-        from repro.farm.cache import RESULTS_FILE
-
-        return self._collect_ledger(
-            "farm",
-            Path(directory) / RESULTS_FILE,
-            key_field="key",
-            pinned=self.pins,
-        )
-
-    def collect_kernel_tier(self, directory: str | Path) -> TierReport:
-        """Budget the kernel compile ledger (no pinning: records are
-        provenance, not inputs to in-flight jobs)."""
-        from repro.caches.pipeline.registry import LEDGER_NAME
-
-        return self._collect_ledger(
-            "kernel",
-            Path(directory) / LEDGER_NAME,
-            key_field="fingerprint",
-            pinned=frozenset(),
-        )
-
     # -- the all-tiers entry point
 
     def collect(
         self,
         farm_dir: str | Path | None = None,
         stream_dir: str | Path | None = None,
-        kernel_dir: str | Path | None = None,
         shard: bool = False,
     ) -> list[TierReport]:
         """One pass over every named tier; returns the tier reports."""
@@ -321,8 +295,6 @@ class CacheGC:
             self.collect_farm_tier(farm_dir)
         if stream_dir is not None:
             self.collect_stream_tier(stream_dir, shard=shard)
-        if kernel_dir is not None:
-            self.collect_kernel_tier(kernel_dir)
         return self.reports
 
     def summary(self) -> dict[str, Any]:

@@ -60,9 +60,8 @@ class ServiceConfig:
     )
     #: per-tier cache byte budget enforced by :meth:`FarmService.gc`
     cache_budget_bytes: int | None = None
-    #: stream / kernel cache dirs the GC also tends (None = skip)
+    #: stream cache dir the GC also tends (None = skip)
     stream_dir: str | Path | None = None
-    kernel_dir: str | Path | None = None
     #: migrate the stream tier into two-level shard dirs during GC
     shard: bool = False
 
@@ -240,7 +239,6 @@ class FarmService:
             collector.collect(
                 farm_dir=self.farm.cache.directory,
                 stream_dir=self.config.stream_dir,
-                kernel_dir=self.config.kernel_dir,
                 shard=self.config.shard,
             )
         # evictions invalidate the farm's in-memory cache index

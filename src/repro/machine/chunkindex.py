@@ -57,11 +57,10 @@ class PositionIndex:
 class RescanBinding:
     """Lazy, phase-labelled :class:`PositionIndex` over one chunk array.
 
-    The scan kernel's rescan-binding pass hands one of these per
-    rescannable value array (ECC granules, VPNs); the index is built on
-    the *first* lookup — most segments deliver no displaced-location
-    traps and never pay the argsort — under the same
-    ``machine.rescan_index`` phase timer the inline code used.
+    The chunk engine binds one of these per rescannable value array (ECC
+    granules, VPNs); the index is built on the *first* lookup — most
+    segments deliver no displaced-location traps and never pay the
+    argsort — under the ``machine.rescan_index`` phase timer.
     """
 
     __slots__ = ("_values", "_kind", "_index")

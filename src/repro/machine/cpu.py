@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from repro._types import Component, TrapMechanism
-from repro.caches.pipeline import compile_kernel, scan_request
 from repro.errors import MachineError
+from repro.machine.chunkindex import RescanBinding
 from repro.machine.mmu import PAGE_SHIFT, PageTable
 from repro.machine.traps import TrapFrame, TrapKind
 from repro.telemetry.session import active as _telemetry
@@ -87,9 +86,6 @@ class CPU:
     def __init__(self, machine) -> None:
         self.machine = machine
         self._in_tick = False
-        #: compiled scan programs, memoized per active-mechanism tuple —
-        #: a plain dict probe per segment, compiled once by the pipeline
-        self._scan_programs: dict[tuple[bool, bool, bool], Any] = {}
         #: per-component totals, for the Monster-style monitor
         self.refs_by_component: dict[Component, int] = {c: 0 for c in Component}
         self.cycles_by_component: dict[Component, int] = {c: 0 for c in Component}
@@ -188,27 +184,32 @@ class CPU:
         pas = table.translate(vas)
 
         mechanisms = machine.active_mechanisms
-        key = (
-            TrapMechanism.ECC in mechanisms,
-            TrapMechanism.PAGE_VALID in mechanisms,
+        use_ecc = TrapMechanism.ECC in mechanisms
+        use_pages = TrapMechanism.PAGE_VALID in mechanisms
+        use_breakpoints = (
             TrapMechanism.BREAKPOINT in mechanisms
-            and machine.breakpoints.n_active() > 0,
+            and machine.breakpoints.n_active() > 0
         )
-        program = self._scan_programs.get(key)
-        if program is None:
-            program = compile_kernel(
-                scan_request(*key, granule_shift=GRANULE_SHIFT)
-            )
-            self._scan_programs[key] = program
-        if program.collect is None:
+        # One candidate mask per active mechanism.  Each is a fresh array
+        # (fancy indexing / elementwise ops), so OR-ing into the first
+        # mutates no trap state.
+        granules = pas >> GRANULE_SHIFT if use_ecc else None
+        masks = []
+        if use_ecc:
+            masks.append(machine.ecc.granule_trapped[granules])
+        if use_pages:
+            masks.append(table.resident[vpns] & ~table.valid[vpns])
+        if use_breakpoints:
+            masks.append(machine.breakpoints.check_chunk(vas))
+        if not masks:
             return  # no trap mechanism active: no candidates exist
-
-        granules = program.granules_of(pas)
-        candidate_mask = program.collect(machine, table, vas, vpns, granules)
+        candidate_mask = masks[0]
+        for mask in masks[1:]:
+            candidate_mask |= mask
         if candidate_mask.any():
             self._process_candidates(
                 ctx, table, vas, vpns, pas, granules, candidate_mask,
-                result, program, writes,
+                result, use_ecc, use_pages, use_breakpoints, writes,
             )
 
     def _process_candidates(
@@ -221,20 +222,13 @@ class CPU:
         granules: np.ndarray | None,
         candidate_mask: np.ndarray,
         result: ChunkResult,
-        program,
+        use_ecc: bool,
+        use_pages: bool,
+        use_breakpoints: bool,
         writes: np.ndarray | None = None,
     ) -> None:
-        """In-order trap delivery with displaced-line rescans.
-
-        ``program`` is the compiled scan kernel for this segment's
-        active mechanisms; the per-kind delivery branches below are trap
-        *semantics* (priority, masking, write-evaporation), not kernel
-        dispatch — they stay here.
-        """
+        """In-order trap delivery with displaced-line rescans."""
         machine = self.machine
-        use_ecc = program.use_ecc
-        use_pages = program.use_pages
-        use_breakpoints = program.use_breakpoints
         # Stale logs from outside this chunk are irrelevant.
         if use_ecc:
             machine.ecc.drain_recent_sets()
@@ -243,11 +237,12 @@ class CPU:
 
         heap = [int(i) for i in np.nonzero(candidate_mask)[0]]
         heapq.heapify(heap)
-        # Rescan bindings from the pipeline's binding pass: the
-        # PositionIndex is built lazily on the first handler that traps
-        # a displaced location — "next occurrence of this granule/VPN
-        # after position i" becomes two bisects, not an O(chunk) scan.
-        granule_rescan, vpn_rescan = program.bind_rescans(granules, vpns)
+        # The PositionIndex behind each binding is built lazily on the
+        # first handler that traps a displaced location — "next
+        # occurrence of this granule/VPN after position i" becomes two
+        # bisects, not an O(chunk) scan.
+        granule_rescan = RescanBinding(granules, "granule") if use_ecc else None
+        vpn_rescan = RescanBinding(vpns, "vpn") if use_pages else None
         previous = -1
         while heap:
             i = heapq.heappop(heap)

@@ -19,16 +19,16 @@ Pixie's generation share) and misses add a replacement premium; the
 premium makes Cache2000's slowdown fall from ~30 at a 0.118 miss ratio
 toward ~22 at zero, as in Figure 2's table.
 
-Which execution path serves a configuration is decided *once*, by the
-kernel pass pipeline (:mod:`repro.caches.pipeline`): direct-mapped and
-LRU/FIFO configs get a vectorized grouped-set kernel, everything else
+Which execution path serves a configuration is decided *once*, by
+:func:`repro.caches.pipeline.cache_kernel`: direct-mapped and LRU/FIFO
+configs get a vectorized grouped-set kernel, everything else
 (seeded-random replacement consumes its RNG in global miss order, which
 grouping would permute) gets the exact per-address path over the shared
-:class:`~repro.caches.cache.SetAssociativeCache`.  The compiled program
-is fetched from the keyed registry at construction and invoked with
-zero per-chunk dispatch; ``capabilities`` reports the decision and its
+:class:`~repro.caches.cache.SetAssociativeCache`.  The kernel is fetched
+from the per-process memo at construction and invoked with zero
+per-chunk dispatch; ``capabilities`` reports the decision and its
 reasons.  ``force_general_path=True`` pins the reference path for
-differential testing — forwarded into the request, never branched on
+differential testing — forwarded to the factory, never branched on
 here.
 
 Per-chunk dispatch counts remain visible as ``fastpath_chunks`` /
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro._types import Component
 from repro.caches.config import CacheConfig
-from repro.caches.pipeline import cache_request, compile_kernel
+from repro.caches.pipeline import cache_kernel
 from repro.caches.replacement import LRUPolicy, ReplacementPolicy
 from repro.caches.stats import CacheStats
 
@@ -66,13 +66,11 @@ class Cache2000:
         self.policy = policy or LRUPolicy()
         self.stats = CacheStats()
         self.processing_cycles = 0
-        program = compile_kernel(
-            cache_request(
-                config, self.policy, force_general=force_general_path
-            )
+        program = cache_kernel(
+            config, self.policy, force_general=force_general_path
         )
         self._program = program
-        #: the pipeline's capability report: which path, and why
+        #: the kernel factory's report: which path, and why
         self.capabilities = program.capabilities
         self._run = program.run
         self._state = program.make_state(self.policy)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.caches.config import CacheConfig
-from repro.caches.pipeline import compile_kernel, sweep_request
+from repro.caches.pipeline import dm_sweep_kernel
 from repro.errors import ConfigError
 from repro.tracing.cache2000 import CACHE2000_CYCLES_PER_HIT
 from repro.tracing.pixie import PixieTracer
@@ -40,9 +40,9 @@ SWEEP_CYCLES_PER_ADDRESS_PER_SIZE = 14
 class MultiSizeDMSweep:
     """Exact one-pass simulation of every power-of-two DM size.
 
-    Since PR 10 this is the ``ways=(1,)`` column of the all-
-    associativity grid engine: ``sweep_request`` adapts the size list
-    into a :class:`~repro.caches.config.GridConfig` and the compiled
+    This is the ``ways=(1,)`` column of the all-associativity grid
+    engine: :func:`~repro.caches.pipeline.dm_sweep_kernel` turns the
+    size list into a :class:`~repro.caches.config.GridConfig`, and the
     grid kernel's direct-mapped specialization runs one pure-numpy
     :func:`~repro.caches.kernels.dm_grouped_pass` per set count — the
     same exact kernel Cache2000's DM fast path uses.
@@ -60,8 +60,8 @@ class MultiSizeDMSweep:
         if len({c.size_bytes for c in self.configs}) != len(self.configs):
             raise ConfigError("duplicate sizes in sweep")
         self.line_shift = self.configs[0].line_shift
-        program = compile_kernel(sweep_request(self.configs))
-        #: the pipeline's capability report (always the grid kernel)
+        program = dm_sweep_kernel(self.configs)
+        #: the kernel factory's report (always the grid kernel)
         self.capabilities = program.capabilities
         self._run = program.run
         self._extract = program.extract

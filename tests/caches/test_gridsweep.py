@@ -12,10 +12,9 @@ from repro.caches.gridsweep import (
     grid_job,
     grid_measure,
     grid_rows,
-    grid_supported,
     run_grid_sweep,
 )
-from repro.caches.pipeline import compile_kernel, grid_request
+from repro.caches.pipeline import grid_kernel, grid_supported
 from repro.caches.replacement import make_policy
 from repro.errors import ConfigError
 from repro.tracing.cache2000 import Cache2000
@@ -119,8 +118,8 @@ class TestGridSweepSimulator:
 
     def test_programs_are_registry_shared(self):
         grid = GridConfig((16, 32), (1, 2))
-        assert compile_kernel(grid_request(grid, profile=False)) is (
-            compile_kernel(grid_request(grid, profile=False))
+        assert grid_kernel(grid, profile=False) is (
+            grid_kernel(grid, profile=False)
         )
 
     def test_publish_metrics(self):

@@ -7,19 +7,13 @@ from repro._types import Indexing
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig
 from repro.caches.kernels import (
-    GroupedSetKernel,
     MAX_SPACES,
     collapse_consecutive,
     dm_grouped_pass,
     grouped_stack_pass,
-    supports_policy,
 )
-from repro.caches.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.caches.pipeline import cache_kernel
+from repro.caches.replacement import make_policy
 from repro.errors import ConfigError
 
 
@@ -27,26 +21,49 @@ def _addrs(*values):
     return np.array(values, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# policy dispatch predicate
-# ---------------------------------------------------------------------------
+class _Cache:
+    """One ``cache_kernel`` program with its state, driven like a cache."""
 
-def test_supports_policy():
-    assert supports_policy(LRUPolicy())
-    assert supports_policy(FIFOPolicy())
-    assert not supports_policy(RandomPolicy(seed=1))
-    assert not supports_policy(None)
+    def __init__(self, config, policy_name="lru"):
+        self.program = cache_kernel(config, policy_name)
+        self.state = self.program.make_state(make_policy(policy_name))
 
+    def simulate_chunk(self, addresses, tid=0):
+        return self.program.run(self.state, addresses, tid)
+
+    def resident_keys(self):
+        return self.program.resident_keys(self.state)
+
+    def occupancy(self):
+        return self.program.occupancy(self.state)
+
+
+# ---------------------------------------------------------------------------
+# path selection
+# ---------------------------------------------------------------------------
 
 def test_kernel_rejects_ungroupable_policy():
-    with pytest.raises(ConfigError):
-        GroupedSetKernel(CacheConfig(size_bytes=64, line_bytes=16), "random")
+    """Seeded random never reaches the grouped replay above one way."""
+    config = CacheConfig(size_bytes=64, line_bytes=16, associativity=2)
+    program = cache_kernel(config, make_policy("random", seed=1))
+    assert program.capabilities.selected == "general"
+    assert program.capabilities.reasons == ("policy:random",)
+    assert cache_kernel(config, "fifo").capabilities.selected == "grouped"
 
 
 def test_kernel_rejects_out_of_range_space():
-    kernel = GroupedSetKernel(CacheConfig(size_bytes=64, line_bytes=16))
-    with pytest.raises(ConfigError):
-        kernel.simulate_chunk(_addrs(0x0), space=MAX_SPACES)
+    """Virtual keys pack the tid, so it must fit in MAX_SPACES."""
+    for associativity in (1, 2):
+        cache = _Cache(
+            CacheConfig(
+                size_bytes=64,
+                line_bytes=16,
+                associativity=associativity,
+                indexing=Indexing.VIRTUAL,
+            )
+        )
+        with pytest.raises(ConfigError):
+            cache.simulate_chunk(_addrs(0x0), tid=MAX_SPACES)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +118,7 @@ def test_collapse_consecutive_drops_only_adjacent_repeats():
 
 def test_kernel_spatial_locality_hits_collapse():
     """4 word-refs per 16-byte line: 1 miss, 3 collapsed hits."""
-    kernel = GroupedSetKernel(
+    kernel = _Cache(
         CacheConfig(size_bytes=128, line_bytes=16, associativity=2)
     )
     assert kernel.simulate_chunk(_addrs(0x0, 0x4, 0x8, 0xC)) == 1
@@ -113,16 +130,16 @@ def test_kernel_resident_keys_decode_spaces():
         size_bytes=64, line_bytes=16, associativity=2,
         indexing=Indexing.VIRTUAL,
     )
-    kernel = GroupedSetKernel(config)
-    kernel.simulate_chunk(_addrs(0x100), space=3)
+    kernel = _Cache(config)
+    kernel.simulate_chunk(_addrs(0x100), tid=3)
     assert kernel.resident_keys() == {(3, 0x100)}
-    assert len(kernel) == 1
+    assert kernel.occupancy() == 1
 
 
 def test_kernel_matches_reference_across_chunk_boundaries():
     """State carries over between chunks exactly as the reference's."""
     config = CacheConfig(size_bytes=128, line_bytes=16, associativity=4)
-    kernel = GroupedSetKernel(config, "lru")
+    kernel = _Cache(config, "lru")
     reference = SetAssociativeCache(config, make_policy("lru"))
     rng = np.random.default_rng(5)
     for size in (1, 7, 64, 255, 3):

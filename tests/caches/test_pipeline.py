@@ -1,185 +1,174 @@
-"""The kernel pass pipeline: requests, capabilities, registry, ledger.
+"""Per-configuration kernels: path selection, validation, the memo.
 
-The pipeline's contract has three parts.  *Selection*: every request is
-routed to exactly one kernel path, with machine-readable reasons when
-the general path wins.  *Caching*: the registry compiles a given
-request once per process and serves every later construction from a
-dict probe, with counters and delta-published metrics that stay
-per-run.  *Persistence*: when a ledger is attached, each compile
-appends one crash-consistent JSONL record that ``repro kernels
-stats|clear`` reads back in any process.
+The factories' contract has three parts.  *Selection*: every
+configuration runs exactly one kernel path, with machine-readable
+reasons when the general path wins.  *Validation*: a configuration no
+kernel serves exactly raises ``ConfigError`` when the kernel is built.
+*Memoization*: the registry builds a configuration once per process and
+serves every later construction from a dict probe, with counters and
+delta-published metrics that stay per-run — and nothing on disk.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro._types import Indexing
-from repro.caches.config import CacheConfig, TLBConfig
+from repro.caches.config import CacheConfig, GridConfig, TLBConfig
 from repro.caches.pipeline import (
-    KERNEL_CODE_VERSION,
-    KernelRegistry,
-    PIPELINE_PASSES,
-    analyze,
-    cache_request,
-    clear_ledger,
-    compile_kernel,
-    fingerprint_request,
-    read_ledger,
-    run_pipeline,
-    scan_request,
-    sweep_request,
-    tlb_request,
+    CapabilityReport,
+    cache_kernel,
+    default_registry,
+    dm_sweep_kernel,
+    grid_kernel,
+    reset_default_registry,
+    tlb_kernel,
 )
 from repro.caches.replacement import make_policy
 from repro.errors import ConfigError
+from repro.telemetry.profile import PROFILE_BUCKET_SECS
 from repro.telemetry.registry import MetricsRegistry
 
 CFG = CacheConfig(size_bytes=1024, line_bytes=16, associativity=2)
 DM = CacheConfig(size_bytes=1024, line_bytes=16)
+GRID = GridConfig((16, 32), (1, 2))
+
+
+@pytest.fixture
+def registry():
+    """A fresh default registry, dropped again afterwards."""
+    reset_default_registry()
+    yield default_registry()
+    reset_default_registry()
 
 
 # ---------------------------------------------------------------------------
-# capability analysis
+# path selection
 # ---------------------------------------------------------------------------
 
 class TestCapabilities:
     def test_direct_mapped_selects_dm(self):
-        report = analyze(cache_request(DM))
+        report = cache_kernel(DM).capabilities
         assert report.selected == "dm" and not report.general
 
     @pytest.mark.parametrize("policy", ("lru", "fifo"))
     def test_groupable_policies_select_grouped(self, policy):
-        report = analyze(cache_request(CFG, make_policy(policy)))
+        report = cache_kernel(CFG, make_policy(policy)).capabilities
         assert report.selected == "grouped"
 
     def test_random_policy_selects_general_with_reason(self):
-        report = analyze(cache_request(CFG, make_policy("random")))
+        report = cache_kernel(CFG, make_policy("random")).capabilities
         assert report.selected == "general"
         assert report.reasons == ("policy:random",)
 
     def test_forced_general_records_both_reasons(self):
-        report = analyze(
-            cache_request(CFG, make_policy("random"), force_general=True)
-        )
+        report = cache_kernel(
+            CFG, make_policy("random"), force_general=True
+        ).capabilities
         assert report.general
         assert "forced:request" in report.reasons
         assert "policy:random" in report.reasons
 
     def test_tlb_routes_mirror_cache_routes(self):
         config = TLBConfig(n_entries=16)
-        assert analyze(tlb_request(config)).selected == "tlb_grouped"
-        assert (
-            analyze(tlb_request(config, make_policy("random"))).selected
-            == "tlb_general"
-        )
+        assert tlb_kernel(config).capabilities.selected == "tlb_grouped"
+        report = tlb_kernel(config, make_policy("random")).capabilities
+        assert report == CapabilityReport("tlb_general", ("policy:random",))
 
-    def test_scan_and_sweep_have_single_paths(self):
-        assert analyze(sweep_request((DM,))).selected == "grid"
-        assert (
-            analyze(scan_request(True, False, False, 4)).selected == "scan"
-        )
+    def test_sweep_and_grid_have_single_paths(self):
+        expected = CapabilityReport("grid", ("lru-stack-inclusion",))
+        assert dm_sweep_kernel((DM,)).capabilities == expected
+        assert grid_kernel(GRID).capabilities == expected
 
 
 # ---------------------------------------------------------------------------
-# requests and fingerprints
+# validation
 # ---------------------------------------------------------------------------
 
-class TestFingerprints:
-    def test_equal_requests_share_a_fingerprint(self):
-        a = cache_request(CacheConfig(size_bytes=1024, line_bytes=16))
-        b = cache_request(CacheConfig(size_bytes=1024, line_bytes=16))
-        assert a == b
-        assert fingerprint_request(a) == fingerprint_request(b)
-
-    def test_every_knob_perturbs_the_fingerprint(self):
-        base = cache_request(CFG)
-        variants = [
-            cache_request(CacheConfig(size_bytes=2048, line_bytes=16,
-                                      associativity=2)),
-            cache_request(CacheConfig(size_bytes=1024, line_bytes=16,
-                                      associativity=2,
-                                      indexing=Indexing.VIRTUAL)),
-            cache_request(CFG, make_policy("fifo")),
-            cache_request(CFG, force_general=True),
-            cache_request(CFG, profile=True),
-        ]
-        prints = {fingerprint_request(r) for r in [base, *variants]}
-        assert len(prints) == len(variants) + 1
-
-    def test_fingerprint_is_salted_with_the_code_version(self):
-        # the salt is baked into the hash: same request, same print,
-        # and the version constant is pinned so a bump is a loud diff
-        assert KERNEL_CODE_VERSION == "repro-kernels-pipeline-v2"
-
+class TestValidation:
     def test_dm_sweep_rejects_associative_members(self):
         with pytest.raises(ConfigError):
-            run_pipeline(sweep_request((CFG,)))
+            dm_sweep_kernel((CFG,))
+        with pytest.raises(ConfigError):
+            dm_sweep_kernel(())
+        with pytest.raises(ConfigError):
+            dm_sweep_kernel(
+                (DM, CacheConfig(size_bytes=2048, line_bytes=32))
+            )
 
     def test_grid_rejects_non_lru_policies(self):
-        from repro.caches.config import GridConfig
-        from repro.caches.pipeline import grid_request
+        for name in ("fifo", "random"):
+            with pytest.raises(ConfigError):
+                grid_kernel(GRID, make_policy(name))
+            with pytest.raises(ConfigError):
+                grid_kernel(GRID, name)
+        assert grid_kernel(GRID, "lru") is grid_kernel(GRID)
+        assert grid_kernel(GRID).extract is not None
 
-        grid = GridConfig((16, 32), (1, 2))
+    def test_unknown_policy_is_rejected(self):
         with pytest.raises(ConfigError):
-            run_pipeline(grid_request(grid, make_policy("fifo")))
+            cache_kernel(CFG, "clairvoyant")
         with pytest.raises(ConfigError):
-            run_pipeline(grid_request(grid, make_policy("random")))
-        assert run_pipeline(grid_request(grid)).extract is not None
-
-    def test_unknown_policy_is_rejected_at_normalize(self):
-        import dataclasses
-
-        bad = dataclasses.replace(cache_request(CFG), policy="clairvoyant")
+            tlb_kernel(TLBConfig(n_entries=8), "clairvoyant")
         with pytest.raises(ConfigError):
-            run_pipeline(bad)
+            cache_kernel(CFG, object())  # no policy name at all
 
 
 # ---------------------------------------------------------------------------
-# the registry
+# the memo
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_compile_once_then_dict_probe(self):
-        registry = KernelRegistry()
-        request = cache_request(CFG)
-        first = registry.get(request)
-        second = registry.get(cache_request(CFG))
+    def test_compile_once_then_dict_probe(self, registry):
+        first = cache_kernel(CFG)
+        second = cache_kernel(
+            CacheConfig(size_bytes=1024, line_bytes=16, associativity=2)
+        )
         assert first is second
         assert registry.compiles == 1
         assert registry.hits == 1 and registry.misses == 1
         assert len(registry) == 1
 
-    def test_distinct_requests_compile_distinct_programs(self):
-        registry = KernelRegistry()
-        registry.get(cache_request(CFG))
-        registry.get(cache_request(DM))
-        registry.get(tlb_request(TLBConfig(n_entries=8)))
-        assert registry.compiles == 3 and len(registry) == 3
+    def test_distinct_requests_compile_distinct_programs(self, registry):
+        cache_kernel(CFG)
+        cache_kernel(DM)
+        tlb_kernel(TLBConfig(n_entries=8))
+        grid_kernel(GRID)
+        assert registry.compiles == 4 and len(registry) == 4
 
-    def test_counters_view(self):
-        registry = KernelRegistry()
-        registry.get(cache_request(CFG))
-        registry.get(cache_request(CFG))
-        counters = registry.counters()
-        assert counters["programs"] == 1
-        assert counters["compiles"] == 1
-        assert counters["lookup_hits"] == 1
-        assert counters["lookup_misses"] == 1
-        assert counters["compile_secs"] >= 0.0
+    def test_every_knob_builds_its_own_program(self, registry):
+        variants = [
+            cache_kernel(CFG),
+            cache_kernel(
+                CacheConfig(size_bytes=2048, line_bytes=16, associativity=2)
+            ),
+            cache_kernel(
+                CacheConfig(
+                    size_bytes=1024,
+                    line_bytes=16,
+                    associativity=2,
+                    indexing=Indexing.VIRTUAL,
+                )
+            ),
+            cache_kernel(CFG, "fifo"),
+            cache_kernel(CFG, force_general=True),
+            cache_kernel(CFG, profile=True),
+        ]
+        assert len({id(program) for program in variants}) == len(variants)
+        assert registry.compiles == len(variants)
 
-    def test_pass_timings_cover_the_whole_pipeline(self):
-        registry = KernelRegistry()
-        program = registry.get(cache_request(CFG))
-        assert set(program.pass_secs) == {p.name for p in PIPELINE_PASSES}
+    def test_counters_view(self, registry):
+        cache_kernel(CFG)
+        cache_kernel(CFG)
+        assert registry.compiles == 1
+        assert registry.hits == 1
+        assert registry.misses == 1
+        assert registry.compile_secs >= 0.0
 
-    def test_publish_metrics_is_delta_based(self):
-        registry = KernelRegistry()
-        registry.get(cache_request(CFG))
-        registry.get(cache_request(CFG))
+    def test_publish_metrics_is_delta_based(self, registry):
+        cache_kernel(CFG)
+        cache_kernel(CFG)
 
         first = MetricsRegistry()
         registry.publish_metrics(first)
@@ -194,132 +183,63 @@ class TestRegistry:
         assert len(second) == 0
 
         # one more hit: only the delta shows up
-        registry.get(cache_request(CFG))
+        cache_kernel(CFG)
         third = MetricsRegistry()
         registry.publish_metrics(third)
         assert third.snapshot() == {"kernels.pipeline.lookups{hit=true}": 1}
 
-    def test_publish_metrics_includes_per_pass_histograms(self):
-        registry = KernelRegistry()
-        registry.get(cache_request(CFG))
+    def test_publish_metrics_includes_compose_histogram(self, registry):
+        cache_kernel(CFG)
         metrics = MetricsRegistry()
         registry.publish_metrics(metrics)
-        key = "kernels.pipeline.compose_secs{pass_name=compose}"
-        assert key in metrics
-        from repro.telemetry.profile import PROFILE_BUCKET_SECS
-
+        assert "kernels.pipeline.compose_secs" in metrics
         assert metrics.histogram(
-            "kernels.pipeline.compose_secs",
-            bounds=PROFILE_BUCKET_SECS,
-            pass_name="compose",
+            "kernels.pipeline.compose_secs", bounds=PROFILE_BUCKET_SECS
         ).count == 1
 
-    def test_clear_drops_programs_but_keeps_history(self):
-        registry = KernelRegistry()
-        registry.get(cache_request(CFG))
+    def test_clear_drops_programs_but_keeps_history(self, registry):
+        cache_kernel(CFG)
         assert registry.clear() == 1
         assert len(registry) == 0
         assert registry.compiles == 1  # lifetime counter survives
 
+    def test_building_kernels_writes_nothing(
+        self, registry, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
 
-# ---------------------------------------------------------------------------
-# the compile ledger
-# ---------------------------------------------------------------------------
-
-class TestLedger:
-    def test_attached_ledger_records_each_compile(self, tmp_path):
-        registry = KernelRegistry(ledger_dir=tmp_path)
-        program = registry.get(cache_request(CFG))
-        registry.get(cache_request(CFG))  # hit: no new record
-        records = read_ledger(tmp_path)
-        assert len(records) == 1
-        (record,) = records
-        assert record["fingerprint"] == program.fingerprint
-        assert record["kind"] == "cache"
-        assert record["selected"] == "grouped"
-        assert record["policy"] == "lru"
-
-    def test_unattached_registry_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        registry = KernelRegistry()
-        registry.get(cache_request(CFG))
+        addrs = np.arange(64, dtype=np.int64) * 16
+        for policy_name, program in (
+            ("lru", cache_kernel(DM)),
+            ("lru", cache_kernel(CFG, profile=True)),
+            ("random", cache_kernel(CFG, "random")),
+        ):
+            program.run(program.make_state(make_policy(policy_name)), addrs, 0)
+        grid = grid_kernel(GRID)
+        grid.run(grid.make_state(), addrs, 0)
+        tlb_kernel(TLBConfig(n_entries=8))
         assert list(tmp_path.iterdir()) == []
-
-    def test_read_ledger_skips_torn_tail(self, tmp_path):
-        registry = KernelRegistry(ledger_dir=tmp_path)
-        registry.get(cache_request(CFG))
-        with open(registry.ledger_path, "a") as handle:
-            handle.write('{"kind": "cach')  # a torn write
-        assert len(read_ledger(tmp_path)) == 1
-
-    def test_clear_ledger_reports_and_removes(self, tmp_path):
-        registry = KernelRegistry(ledger_dir=tmp_path)
-        registry.get(cache_request(CFG))
-        registry.get(cache_request(DM))
-        assert clear_ledger(tmp_path) == 2
-        assert read_ledger(tmp_path) == []
-        assert clear_ledger(tmp_path) == 0
+        # nor does a CLI command that builds kernels leave a store behind
+        built = registry.compiles
+        assert main(
+            [
+                "sweep", "grid", "--workload", "espresso", "--refs", "5000",
+                "--sets", "32,64", "--ways", "1,2",
+            ]
+        ) == 0
+        assert registry.compiles > built
+        assert not (tmp_path / ".kernel-cache").exists()
 
 
 # ---------------------------------------------------------------------------
-# compiled programs behave like kernels
+# kernels run standalone
 # ---------------------------------------------------------------------------
 
 class TestPrograms:
     def test_cache_program_runs_standalone(self):
-        program = compile_kernel(cache_request(DM), KernelRegistry())
+        program = cache_kernel(DM)
         state = program.make_state(make_policy("lru"))
         addrs = np.asarray([0x00, 0x40, 0x00, 0x40], dtype=np.int64)
         assert program.run(state, addrs, 0) == 2
         assert program.occupancy(state) == 2
-
-    def test_scan_program_with_no_mechanisms_is_a_no_op(self):
-        program = compile_kernel(
-            scan_request(False, False, False, 4), KernelRegistry()
-        )
-        assert program.collect is None
-
-    def test_scan_program_flags_match_the_request(self):
-        program = compile_kernel(
-            scan_request(True, True, False, 4), KernelRegistry()
-        )
-        assert program.use_ecc and program.use_pages
-        assert not program.use_breakpoints
-        granules = program.granules_of(
-            np.asarray([0x10, 0x20], dtype=np.int64)
-        )
-        assert granules.tolist() == [1, 2]
-
-
-# ---------------------------------------------------------------------------
-# the CLI round-trip
-# ---------------------------------------------------------------------------
-
-class TestCLI:
-    def test_kernels_stats_json_reads_the_ledger(self, tmp_path, capsys):
-        from repro.cli import main
-
-        registry = KernelRegistry(ledger_dir=tmp_path / "ledger")
-        registry.get(cache_request(CFG))
-        registry.get(cache_request(CFG, force_general=True))
-        code = main(
-            ["kernels", "stats", "--ledger-dir", str(tmp_path / "ledger"),
-             "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ledger_compiles"] == 2
-        assert payload["per_kind"] == {"cache": 2}
-        assert payload["per_path"] == {"grouped": 1, "general": 1}
-        assert payload["forced_general"] == 1
-
-    def test_kernels_clear_round_trip(self, tmp_path, capsys):
-        from repro.cli import main
-
-        registry = KernelRegistry(ledger_dir=tmp_path / "ledger")
-        registry.get(cache_request(CFG))
-        assert main(
-            ["kernels", "clear", "--ledger-dir", str(tmp_path / "ledger")]
-        ) == 0
-        assert "dropped 1 compile record(s)" in capsys.readouterr().out
-        assert read_ledger(tmp_path / "ledger") == []

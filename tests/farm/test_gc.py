@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -133,24 +132,6 @@ class TestFarmTier:
         assert (tmp_path / RESULTS_FILE).read_text() == before
 
 
-class TestKernelTier:
-    def test_compile_ledger_is_budgeted(self, tmp_path):
-        from repro.caches.pipeline.registry import LEDGER_NAME
-
-        path = tmp_path / LEDGER_NAME
-        lines = [
-            json.dumps({"fingerprint": f"f{i}", "kind": "k", "pad": "x" * 64})
-            for i in range(20)
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        size = path.stat().st_size
-        report = CacheGC(budget_bytes=size // 4).collect_kernel_tier(tmp_path)
-        assert report.evicted > 0
-        kept = [json.loads(l) for l in path.read_text().splitlines()]
-        assert kept  # newest records survive
-        assert kept[-1]["fingerprint"] == "f19"
-
-
 class TestJournalPins:
     def test_live_leases_pin_cache_entries(self, tmp_path):
         journal = JobJournal(tmp_path)
@@ -173,9 +154,8 @@ class TestReporting:
         reports = CacheGC(100).collect(
             farm_dir=tmp_path / "farm",
             stream_dir=tmp_path / "stream",
-            kernel_dir=tmp_path / "kernel",
         )
-        assert [r.tier for r in reports] == ["farm", "stream", "kernel"]
+        assert [r.tier for r in reports] == ["farm", "stream"]
 
     def test_summary_and_publish(self, tmp_path):
         store = StreamStore(tmp_path)

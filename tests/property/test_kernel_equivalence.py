@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro._types import Indexing
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig, TLBConfig
-from repro.caches.kernels import GroupedSetKernel, supports_policy
+from repro.caches.pipeline import cache_kernel
 from repro.caches.replacement import make_policy
 from repro.caches.tlb import SimulatedTLB
 from repro.tracing.cache2000 import Cache2000
@@ -73,7 +73,9 @@ def test_kernel_matches_reference_cache_directly(associativity, policy_name):
     """The kernel itself (not just Cache2000 dispatch) vs the reference."""
     rng = np.random.default_rng(99 + associativity)
     config = _config(associativity, Indexing.VIRTUAL)
-    kernel = GroupedSetKernel(config, policy_name)
+    kernel = cache_kernel(config, policy_name)
+    assert kernel.is_fast
+    state = kernel.make_state(make_policy(policy_name))
     reference = SetAssociativeCache(config, make_policy(policy_name))
     for _ in range(10):
         tid = int(rng.integers(0, 4))
@@ -82,15 +84,47 @@ def test_kernel_matches_reference_cache_directly(associativity, policy_name):
         for addr in addrs.tolist():
             hit, _ = reference.access(tid, addr)
             ref_misses += not hit
-        assert kernel.simulate_chunk(addrs, space=tid) == ref_misses
-    assert kernel.occupancy() == reference.occupancy()
-    assert kernel.resident_keys() == reference.resident_keys()
+        assert kernel.run(state, addrs, tid) == ref_misses
+    assert kernel.occupancy(state) == reference.occupancy()
+    assert kernel.resident_keys(state) == reference.resident_keys()
+
+
+@pytest.mark.parametrize("associativity", ASSOCIATIVITIES)
+def test_physical_fast_path_accepts_any_tid(associativity):
+    """Physical indexing has one tag space, so the fast path takes any
+    tid the reference path takes — including ones past MAX_SPACES."""
+    config = _config(associativity, Indexing.PHYSICAL)
+    addrs = (np.arange(256, dtype=np.int64) * 64) % 8192
+    fast = Cache2000(config)
+    slow = Cache2000(config, force_general_path=True)
+    assert not fast.capabilities.general
+    assert fast.simulate_chunk(addrs, tid=5000) == slow.simulate_chunk(
+        addrs, tid=5000
+    )
+    assert fast.resident_keys() == slow.resident_keys()
+
+
+def test_physical_grid_accepts_any_tid():
+    from repro.caches.config import GridConfig
+    from repro.caches.gridsweep import GridSweepSimulator
+    from repro.tracing.multisize import MultiSizeDMSweep
+
+    addrs = (np.arange(512, dtype=np.int64) * 48) % 8192
+    grid = GridConfig((16, 32), (1, 2))
+    high, low = GridSweepSimulator(grid), GridSweepSimulator(grid)
+    high.simulate_chunk(addrs, tid=5000)
+    low.simulate_chunk(addrs, tid=0)
+    assert high.miss_counts() == low.miss_counts()
+    # the DM sweep kernel is the grid's ways=(1,) column
+    sweep = MultiSizeDMSweep((256, 512))
+    sweep.simulate_chunk(addrs)
+    dm_column = low.miss_counts()
+    assert sweep.misses == [dm_column[(16, 1)], dm_column[(32, 1)]]
 
 
 def test_random_policy_routes_to_general_path():
     config = _config(2, Indexing.PHYSICAL)
     policy = make_policy("random", seed=11)
-    assert not supports_policy(policy)
     sim = Cache2000(config, policy=policy)
     assert sim.capabilities.general
     assert sim.capabilities.selected == "general"
@@ -146,9 +180,9 @@ def test_property_paths_agree_on_any_stream(
 
 
 # ---------------------------------------------------------------------------
-# the full pipeline sweep: every compiled kernel vs the reference path,
-# with tracing (telemetry profiling) and fault sessions toggled — the
-# pipeline's shims and environment probes must never change results
+# the full sweep: every kernel path vs the reference path, with tracing
+# (telemetry profiling) and fault sessions toggled — the profiling
+# timers and environment probes must never change results
 # ---------------------------------------------------------------------------
 
 import contextlib

@@ -142,24 +142,22 @@ class TestKernelPhases:
         return rng.integers(0, 1 << 16, size=4_096, dtype=np.int64)
 
     def test_dm_and_grouped_set_phases_fire_without_changing_misses(self):
-        import numpy as np  # noqa: F401  (addresses helper)
-
         from repro.caches.config import CacheConfig
-        from repro.caches.kernels import GroupedSetKernel
+        from repro.tracing.cache2000 import Cache2000
 
         addresses = self._addresses()
-        baseline_dm = GroupedSetKernel(
+        baseline_dm = Cache2000(
             CacheConfig(size_bytes=2048)
         ).simulate_chunk(addresses)
-        baseline_4way = GroupedSetKernel(
+        baseline_4way = Cache2000(
             CacheConfig(size_bytes=2048, associativity=4)
         ).simulate_chunk(addresses)
 
         with enabled(profile=True) as session:
-            dm = GroupedSetKernel(
+            dm = Cache2000(
                 CacheConfig(size_bytes=2048)
             ).simulate_chunk(addresses)
-            assoc = GroupedSetKernel(
+            assoc = Cache2000(
                 CacheConfig(size_bytes=2048, associativity=4)
             ).simulate_chunk(addresses)
         assert dm == baseline_dm
