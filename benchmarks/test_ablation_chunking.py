@@ -6,7 +6,13 @@ Tapeworm makes on hardware hit-filtering.  This ablation measures
 actual Python wall-clock for the same simulation at different chunk
 sizes; tiny chunks approximate reference-at-a-time simulation and the
 vectorization win disappears.  Miss counts must be identical across
-chunk sizes (the in-order rescan machinery guarantees exactness).
+chunk sizes.  Two mechanisms guarantee it: this direct-mapped,
+physically indexed cache takes each segment's traps in one batched
+replay that checks the trap complement before it trusts it, and any
+segment that fails the check, or is never offered, is delivered trap
+by trap with in-order rescans (docs/INTERNALS.md, "Batched trap
+delivery").  Small chunks now also pay the batch's fixed cost per
+segment, not only the per-chunk scan.
 """
 
 import time

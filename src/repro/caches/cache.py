@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, List, Tuple
 
+import numpy as np
+
 from repro._types import Indexing
 from repro.caches.config import CacheConfig
 from repro.caches.replacement import LRUPolicy, ReplacementPolicy
@@ -110,6 +112,33 @@ class SetAssociativeCache:
         self.policy.insert(entries, key)
         return displaced
 
+    # -- batched trap-driven path (direct-mapped, physically indexed)
+
+    def direct_mapped_lines(self, sets: np.ndarray) -> np.ndarray:
+        """The line address each given set holds, -1 where it is empty.
+
+        Only meaningful for a direct-mapped, physically indexed cache,
+        whose sets hold at most one key, all in space 0.
+        """
+        held = [self._sets[s] for s in sets.tolist()]
+        return np.array(
+            [entries[0][1] if entries else -1 for entries in held],
+            dtype=np.int64,
+        )
+
+    def refill_direct_mapped(
+        self, sets: np.ndarray, line_addrs: np.ndarray, insertions: int
+    ) -> None:
+        """Write back a batch of direct-mapped miss insertions.
+
+        ``insertions`` misses, replayed elsewhere, left ``sets[i]``
+        holding ``line_addrs[i]``; the sets change and the insertion
+        count rises exactly as that many :meth:`miss_insert` calls would.
+        """
+        for set_index, line_addr in zip(sets.tolist(), line_addrs.tolist()):
+            self._sets[set_index] = [(0, line_addr)]
+        self.insertions += insertions
+
     # -- maintenance
 
     def contains(self, tid: int, addr: int) -> bool:
@@ -134,14 +163,17 @@ class SetAssociativeCache:
         from the simulated cache and clearing all traps."
         """
         space = self.space_of(tid)
+        # hoisted: set_of() would recompute both properties per line
+        line_shift, n_sets = self.config.line_shift, self.config.n_sets
+        sets = self._sets
         removed = []
         for line_addr in range(
             page_addr, page_addr + page_bytes, self.config.line_bytes
         ):
             key = (space, line_addr)
-            entries, way = self._locate(key)
-            if way >= 0:
-                entries.pop(way)
+            entries = sets[(line_addr >> line_shift) % n_sets]
+            if key in entries:
+                entries.remove(key)
                 removed.append(key)
         return removed
 

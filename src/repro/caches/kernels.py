@@ -45,7 +45,11 @@ GROUPABLE_POLICIES = ("lru", "fifo")
 
 
 def dm_grouped_pass(
-    state: np.ndarray, sets: np.ndarray, keys: np.ndarray
+    state: np.ndarray,
+    sets: np.ndarray,
+    keys: np.ndarray,
+    missed: np.ndarray | None = None,
+    displaced: np.ndarray | None = None,
 ) -> int:
     """One exact direct-mapped pass: update ``state``, return misses.
 
@@ -53,6 +57,12 @@ def dm_grouped_pass(
     direct-mapped set always holds the last key that touched it, so a
     reference misses iff its key differs from its set's previous key;
     the per-set *last* key is written back.
+
+    ``missed`` and ``displaced``, when given, are arrays as long as
+    ``keys`` that receive, in the caller's reference order, whether each
+    reference missed and the key its miss displaced (-1 for a hit or a
+    miss into an empty set).  Trap-driven batched delivery reads the
+    miss positions and victims from them.
     """
     n = len(sets)
     if n == 0:
@@ -66,7 +76,12 @@ def dm_grouped_pass(
     previous = np.empty_like(keys_sorted)
     previous[1:] = keys_sorted[:-1]
     previous[first] = state[sets_sorted[first]]
-    misses = int(np.count_nonzero(keys_sorted != previous))
+    miss_sorted = keys_sorted != previous
+    misses = int(np.count_nonzero(miss_sorted))
+    if missed is not None:
+        missed[order] = miss_sorted
+    if displaced is not None:
+        displaced[order] = np.where(miss_sorted, previous, -1)
     last = np.empty(n, dtype=bool)
     last[-1] = True
     np.not_equal(sets_sorted[1:], sets_sorted[:-1], out=last[:-1])

@@ -15,6 +15,8 @@ entry that would otherwise shadow the cleared valid bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro._types import PAGE_SIZE, TrapMechanism
 from repro.errors import TapewormError, UnsupportedStructure
 from repro.machine.machine import Machine
@@ -75,6 +77,22 @@ class TrapPrimitives:
         self._require(TrapMechanism.ECC, "tw_clear_trap")
         self.machine.ecc.clear_trap(pa, size)
         self.clear_calls += 1
+
+    def tw_retrap_lines(
+        self,
+        trapped: np.ndarray,
+        untrapped: np.ndarray,
+        line_bytes: int,
+        clears: int,
+    ) -> None:
+        """A batch of ``tw_set_trap`` calls on the lines based at
+        ``trapped`` and ``clears`` ``tw_clear_trap`` calls that leave the
+        lines based at ``untrapped`` clear, applied at once
+        (:meth:`ECCController.retrap_lines`)."""
+        self._require(TrapMechanism.ECC, "tw_retrap_lines")
+        self.machine.ecc.retrap_lines(trapped, untrapped, line_bytes, clears)
+        self.set_calls += len(trapped)
+        self.clear_calls += clears
 
     # -- page granularity (valid bits), for TLB simulation
 

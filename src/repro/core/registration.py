@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro._types import PAGE_SIZE
 from repro.errors import TapewormError
 
@@ -33,8 +35,8 @@ class FrameRecord:
 class PageRegistry:
     """Who maps what, among the pages in the Tapeworm domain.
 
-    Besides the frame/mapping tables, the registry maintains two derived
-    indexes kept exact on every register/remove:
+    Besides the frame/mapping tables, the registry maintains three
+    derived indexes kept exact on every register/remove:
 
     * per task: ``tid -> {vpn: pfn}`` (insertion-ordered), so
       task-scoped sweeps never scan other tasks' mappings;
@@ -42,7 +44,11 @@ class PageRegistry:
       a TLB miss handler can enumerate the machine pages covered by one
       simulated entry without scanning the task (``pages_per_superpage``
       is the TLB's ``pages_per_entry``; the default of 1 keeps the index
-      trivial for cache simulations, which never query it).
+      trivial for cache simulations, which never query it);
+    * per frame: a boolean bitmap over frame numbers, grown on demand
+      and always ending in an unregistered sentinel, so batched trap
+      delivery tests a whole segment's frames in one clipped gather
+      (:meth:`registered_mask`).
     """
 
     def __init__(self, pages_per_superpage: int = 1) -> None:
@@ -56,6 +62,9 @@ class PageRegistry:
         self._by_task: dict[int, dict[int, int]] = {}  # tid -> {vpn: pfn}
         #: (tid, superpage) -> vpns mapped under that simulated entry
         self._by_superpage: dict[tuple[int, int], set[int]] = {}
+        #: pfn -> registered; the last entry is never registered, so a
+        #: gather clipped to the end answers for every frame past it
+        self._frame_bitmap = np.zeros(1, dtype=bool)
 
     @staticmethod
     def _split(pa: int, va: int) -> tuple[int, int]:
@@ -77,7 +86,15 @@ class PageRegistry:
         self._by_task.setdefault(tid, {})[vpn] = pfn
         superpage_key = (tid, vpn // self.pages_per_superpage)
         self._by_superpage.setdefault(superpage_key, set()).add(vpn)
-        return record.refcount == 1
+        if record.refcount > 1:
+            return False
+        bitmap = self._frame_bitmap
+        if pfn + 1 >= len(bitmap):
+            grown = np.zeros(max(pfn + 2, 2 * len(bitmap)), dtype=bool)
+            grown[: len(bitmap)] = bitmap
+            self._frame_bitmap = grown
+        self._frame_bitmap[pfn] = True
+        return True
 
     def remove(self, tid: int, pa: int, va: int) -> bool:
         """Drop one mapping; True when the frame's count reached zero
@@ -104,6 +121,7 @@ class PageRegistry:
             del self._by_superpage[superpage_key]
         if record.refcount == 0:
             del self._frames[pfn]
+            self._frame_bitmap[pfn] = False
             return True
         return False
 
@@ -115,6 +133,10 @@ class PageRegistry:
 
     def is_registered_frame(self, pa: int) -> bool:
         return pa // PAGE_SIZE in self._frames
+
+    def registered_mask(self, pas: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`is_registered_frame` over physical addresses."""
+        return np.take(self._frame_bitmap, pas // PAGE_SIZE, mode="clip")
 
     def is_registered_mapping(self, tid: int, va: int) -> bool:
         return (tid, va // PAGE_SIZE) in self._by_mapping

@@ -28,6 +28,7 @@ import numpy as np
 from repro._types import PAGE_SIZE, Indexing, TrapMechanism
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig, TLBConfig
+from repro.caches.kernels import GROUPABLE_POLICIES, dm_grouped_pass
 from repro.caches.multilevel import TwoLevelCache
 from repro.caches.replacement import make_policy
 from repro.caches.stats import CacheStats
@@ -46,8 +47,9 @@ from repro.errors import (
 )
 from repro.kernel.kernel import Kernel
 from repro.machine.ecc import TrapClass
+from repro.machine.memory import GRANULE_BYTES
 from repro.machine.mmu import PAGE_SHIFT
-from repro.machine.traps import TrapFrame, TrapKind
+from repro.machine.traps import TrapBatch, TrapFrame, TrapKind, TrapSegment
 
 #: cycles the handler spends logging/scrubbing a *true* ECC error before
 #: resuming (rare: about one per year of operation in the paper)
@@ -176,6 +178,10 @@ class Tapeworm:
             else TrapKind.ECC_ERROR
         )
         self.machine.dispatcher.install(kind, self._miss_trap)
+        if self._batchable():
+            self.machine.dispatcher.install_batch(
+                TrapKind.ECC_ERROR, self._deliver_segment
+            )
         self.primitives.activate()
         self.kernel.tapeworm = self
         self._installed = True
@@ -411,6 +417,75 @@ class Tapeworm:
             self.primitives.tw_set_trap(target, line_bytes)
         self.overhead_cycles += self._miss_cycles
         return self._miss_cycles
+
+    def _batchable(self) -> bool:
+        """Whether batched delivery is exact for this configuration:
+        one direct-mapped, physically indexed cache under a replacement
+        policy the grouped kernels replay (random replacement draws its
+        RNG per miss), with lines between the ECC granule and a page."""
+        config = self.config
+        cache = config.cache
+        return (
+            config.structure == "cache"
+            and cache.associativity == 1
+            and cache.indexing is Indexing.PHYSICAL
+            and config.replacement in GROUPABLE_POLICIES
+            and GRANULE_BYTES <= cache.line_bytes <= PAGE_SIZE
+        )
+
+    def _deliver_segment(self, segment: TrapSegment) -> TrapBatch | None:
+        """The miss handler for a whole segment: every trap at once.
+
+        With the trap complement holding for every reference in a set
+        that holds a candidate, per-trap delivery traps exactly at the
+        direct-mapped misses of the segment's trappable references, so
+        one :func:`dm_grouped_pass` replays them; sets without a
+        candidate cannot change.  Declines (None) when true memory
+        errors are pending or the check fails — the CPU then delivers
+        trap by trap.  ``docs/INTERNALS.md``, "Batched trap delivery",
+        has the argument.
+        """
+        ecc = self.machine.ecc
+        if ecc.has_true_errors:
+            return None
+        cache = self.structure
+        config = cache.config
+        shift = config.line_shift
+        lines = segment.pas >> shift
+        sets = lines & (config.n_sets - 1)
+        # only sets holding a candidate can change during the segment
+        touched = np.zeros(config.n_sets, dtype=bool)
+        touched[sets[segment.candidates]] = True
+        touched_sets = np.flatnonzero(touched)
+        at = np.flatnonzero(touched[sets])
+        lines, sets = lines[at], sets[at]
+        resident = np.full(config.n_sets, -1, dtype=np.int64)
+        resident[touched_sets] = (
+            cache.direct_mapped_lines(touched_sets) >> shift
+        )
+        trappable = self.registry.registered_mask(segment.pas[at])
+        trappable &= self.sampler.mask_for_sets(sets)
+        # the trap complement on every reference the replay depends on;
+        # a trap erased by DMA, a spurious trap or a dropped clear fails
+        expected = trappable & (lines != resident[sets])
+        if not np.array_equal(expected, segment.candidates[at]):
+            return None
+
+        ecc.drain_recent_sets()
+        at, lines, sets = at[trappable], lines[trappable], sets[trappable]
+        missed = np.empty(len(at), dtype=bool)
+        displaced = np.empty(len(at), dtype=np.int64)
+        misses = dm_grouped_pass(resident, sets, lines, missed, displaced)
+        victims = displaced[displaced >= 0] << shift
+        victims = victims[self.registry.registered_mask(victims)]
+        finals = resident[touched_sets] << shift
+        self.primitives.tw_retrap_lines(
+            victims, finals, config.line_bytes, clears=misses
+        )
+        cache.refill_direct_mapped(touched_sets, finals, insertions=misses)
+        self.stats.count_miss(segment.component, misses)
+        self.overhead_cycles += misses * self._miss_cycles
+        return TrapBatch(at[missed], self._miss_cycles)
 
     def _tlb_miss(self, frame: TrapFrame) -> int:
         tid = frame.tid

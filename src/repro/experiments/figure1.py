@@ -31,6 +31,7 @@ from repro.caches.config import CacheConfig
 from repro.core.tapeworm import Tapeworm, TapewormConfig
 from repro.kernel.kernel import Kernel
 from repro.machine.machine import Machine, MachineConfig
+from repro.machine.traps import TrapKind
 
 #: a reference string with a hit, a conflict, and a re-miss
 DEMO_ADDRESSES = (0x000, 0x004, 0x040, 0x000, 0x040, 0x010)
@@ -76,7 +77,6 @@ def _run_trap_side() -> tuple[list[str], int, int]:
     tapeworm.tw_attributes(task.tid, simulate=1, inherit=0)
 
     events: list[str] = []
-    original = tapeworm._cache_miss
 
     def logging_handler(frame):
         line = frame.pa & ~(DEMO_CACHE.line_bytes - 1)
@@ -91,7 +91,9 @@ def _run_trap_side() -> tuple[list[str], int, int]:
         )
         return cycles
 
-    tapeworm._cache_miss = logging_handler
+    # replacing the vector entry also withdraws batched delivery, so
+    # every trap passes through the logger
+    original = machine.dispatcher.replace(TrapKind.ECC_ERROR, logging_handler)
     kernel.run_chunk(task, np.array(DEMO_ADDRESSES, dtype=np.int64))
     return events, tapeworm.stats.total_misses, len(events)
 

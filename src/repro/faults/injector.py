@@ -45,6 +45,7 @@ import numpy as np
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.machine.dma import DMAEngine
 from repro.machine.memory import GRANULE_BYTES
+from repro.machine.traps import TrapKind
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +101,7 @@ class MachineFaultInjector:
         self._chunks = 0
         self._armed = False
         self._orig_clear = None
+        self._batch = None
         self._dma = DMAEngine(self.machine)
         self._schedule: dict[int, list[FaultSpec]] = {}
         for spec in plan.machine_specs():
@@ -113,6 +115,10 @@ class MachineFaultInjector:
     def arm(self) -> None:
         if self._armed:
             return
+        # batched delivery writes trap bits without calling
+        # tw_clear_trap, so it would never see a drop: withdraw it
+        dispatcher = self.machine.dispatcher
+        self._batch = dispatcher.withdraw_batch(TrapKind.ECC_ERROR)
         primitives = self.tapeworm.primitives
         self._orig_clear = primitives.tw_clear_trap
 
@@ -139,6 +145,10 @@ class MachineFaultInjector:
             return
         self.tapeworm.primitives.tw_clear_trap = self._orig_clear
         self._orig_clear = None
+        if self._batch is not None:
+            dispatcher = self.machine.dispatcher
+            dispatcher.install_batch(TrapKind.ECC_ERROR, self._batch)
+            self._batch = None
         self._armed = False
 
     # ------------------------------------------------------------------

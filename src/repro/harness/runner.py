@@ -373,7 +373,13 @@ def _finish_trap_report(
     trial_seed: int,
     fault_run=None,
 ) -> TrapRunReport:
-    """Assemble the report (and publish telemetry) for a finished run."""
+    """Assemble the report (and publish telemetry) for a finished run.
+
+    The run's kernel is then shut down, so its memory is freed when the
+    caller drops the execution rather than at the next full garbage
+    collection.  A fault run keeps its kernel: the fault session's
+    record inspects that Tapeworm after the run.
+    """
     kernel = execution.kernel
     tapeworm = kernel.tapeworm
     cpu = kernel.machine.cpu
@@ -410,6 +416,8 @@ def _finish_trap_report(
         if stream_session is not None:
             stream_session.publish_metrics(session.metrics)
         _kernel_registry().publish_metrics(session.metrics)
+    if fault_run is None:
+        kernel.shutdown()
     return report
 
 

@@ -184,6 +184,19 @@ class Kernel:
         self.tick_results.merge(total)
         return total
 
+    def shutdown(self) -> None:
+        """Tear down a finished run; the kernel cannot run afterwards.
+
+        Uninstalls Tapeworm and unhooks the machine, breaking the
+        reference cycles between kernel, machine and Tapeworm: the
+        run's memory (ECC bitmaps, page tables) is then freed as soon as
+        the last reference to the kernel drops, not at the next full
+        garbage collection.
+        """
+        if self.tapeworm is not None:
+            self.tapeworm.uninstall()
+        self.machine.shutdown()
+
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------

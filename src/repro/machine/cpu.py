@@ -16,6 +16,11 @@ any later occurrences of them back onto the heap.  Every candidate is
 re-checked against live trap state before dispatch, so stale candidates
 (cleared by an earlier handler) are skipped.  The result is bit-identical
 to a reference-at-a-time simulation, at numpy chunk speed.
+
+When ECC is the only trap source, a segment is first offered whole to
+the trap vector's batch handler, which may deliver all of its traps as
+one vectorized update; the heap above is the path for everything it
+declines (``docs/INTERNALS.md``, "Batched trap delivery").
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro._types import Component, TrapMechanism
 from repro.errors import MachineError
 from repro.machine.chunkindex import RescanBinding
 from repro.machine.mmu import PAGE_SHIFT, PageTable
-from repro.machine.traps import TrapFrame, TrapKind
+from repro.machine.traps import TrapFrame, TrapKind, TrapSegment
 from repro.telemetry.session import active as _telemetry
 
 #: log2 of the ECC check granule (16 bytes).
@@ -206,11 +211,37 @@ class CPU:
         candidate_mask = masks[0]
         for mask in masks[1:]:
             candidate_mask |= mask
-        if candidate_mask.any():
-            self._process_candidates(
-                ctx, table, vas, vpns, pas, granules, candidate_mask,
-                result, use_ecc, use_pages, use_breakpoints, writes,
+        if not candidate_mask.any():
+            return
+        if (
+            use_ecc
+            and not use_pages
+            and not use_breakpoints
+            and writes is None
+            and not machine.interrupts_masked
+        ):
+            # ECC is the only trap source: the miss handler may take the
+            # whole segment at once, or decline it back to the loop below
+            batch = machine.dispatcher.dispatch_segment(
+                TrapSegment(
+                    kind=TrapKind.ECC_ERROR,
+                    tid=ctx.tid,
+                    component=ctx.component,
+                    cycle=machine.clock.now,
+                    vas=vas,
+                    pas=pas,
+                    candidates=candidate_mask,
+                )
             )
+            if batch is not None:
+                result.sim_cycles += batch.cycles
+                result.traps += len(batch.positions)
+                return
+        machine.dispatcher.segments["per_trap"] += 1
+        self._process_candidates(
+            ctx, table, vas, vpns, pas, granules, candidate_mask,
+            result, use_ecc, use_pages, use_breakpoints, writes,
+        )
 
     def _process_candidates(
         self,

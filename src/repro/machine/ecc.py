@@ -259,6 +259,38 @@ class ECCController:
             self.granule_trapped[granule] = granule in self._true_errors
         self.stats_clears += 1
 
+    def retrap_lines(
+        self,
+        trapped: np.ndarray,
+        untrapped: np.ndarray,
+        size: int,
+        clears: int,
+    ) -> None:
+        """Apply one segment's line-sized trap writes at once.
+
+        Sets every ``size``-byte range based at ``trapped``, then clears
+        every one based at ``untrapped``: the net effect, and the
+        counts, of ``len(trapped)`` :meth:`set_trap` calls and
+        ``clears`` :meth:`clear_trap` calls in which each ``untrapped``
+        range is written last by a clear.  Batched delivery declines
+        while injected true errors exist, so a clear leaves
+        ``granule_trapped`` false.  Nothing is logged for rescans: the
+        batch has already replayed the whole segment.
+        """
+        per_range = size // GRANULE_BYTES
+        offsets = np.arange(per_range, dtype=np.int64)
+        for bases, value in ((trapped, True), (untrapped, False)):
+            granules = ((bases // GRANULE_BYTES)[:, None] + offsets).ravel()
+            self._tapeworm[granules] = value
+            self.granule_trapped[granules] = value
+        self.stats_sets += len(trapped)
+        self.stats_clears += clears
+
+    @property
+    def has_true_errors(self) -> bool:
+        """Whether any injected true error is still unscrubbed."""
+        return bool(self._true_errors)
+
     def is_trapped(self, pa: int) -> bool:
         """Whether a reference to ``pa`` would raise an ECC trap."""
         return bool(self.granule_trapped[self.memory.granule_of(pa)])

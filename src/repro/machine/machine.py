@@ -101,6 +101,15 @@ class Machine:
             )
         self.page_fault_handler(ctx, vpn)
 
+    def shutdown(self) -> None:
+        """Drop the kernel's callbacks and the CPU's back-reference, the
+        cycles that keep a finished machine alive until a full garbage
+        collection (``Kernel.shutdown``).  The machine cannot run
+        afterwards."""
+        self.page_fault_handler = None
+        self.tick_handler = None
+        self.cpu.machine = None
+
     # -- trap mechanism control (used by Tapeworm's machine-dependent layer)
 
     def enable_mechanism(self, mechanism: TrapMechanism) -> None:

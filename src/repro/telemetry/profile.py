@@ -1,8 +1,8 @@
 """Opt-in phase timers for the simulator's hot paths.
 
 :func:`phase` wraps a named region — grouped-set replay, a dm pass, a
-TLB chunk, a trap-rescan index build, a blob map, a snapshot fork, a
-boundary warm — and, when profiling is enabled on the active telemetry
+TLB chunk, a trap-rescan index build, a batched trap delivery, a blob
+map, a snapshot fork, a boundary warm — and, when profiling is enabled on the active telemetry
 session, publishes the wall-clock duration into a ``profile.<name>``
 histogram *and* records a span, so the same instant shows up in both
 the metrics report and the merged Chrome trace.
@@ -40,6 +40,7 @@ KNOWN_PHASES = (
     "kernels.tlb_chunk",
     "kernels.pipeline.compose",
     "machine.rescan_index",
+    "machine.trap_batch",
     "streams.blob_map",
     "streams.snapshot_fork",
     "sampling.boundary_warm",

@@ -101,34 +101,15 @@ class TaskSpec:
         return _procedures_for(DATA_BASE_VA, self.data_shapes)
 
     def text_pages(self) -> int:
-        end = max(p.end_va for p in self.procedures())
-        return -(-(end - TEXT_BASE_VA) // PAGE_SIZE)
+        return _pages_spanned(TEXT_BASE_VA, self.shapes)
 
     def data_pages(self) -> int:
-        data = self.data_procedures()
-        if not data:
+        if not self.data_shapes:
             return 0
-        end = max(p.end_va for p in data)
-        return -(-(end - DATA_BASE_VA) // PAGE_SIZE)
+        return _pages_spanned(DATA_BASE_VA, self.data_shapes)
 
     def layout(self) -> AddressSpaceLayout:
-        regions = [
-            Region(
-                name="text",
-                start_vpn=TEXT_BASE_VA // PAGE_SIZE,
-                n_pages=self.text_pages(),
-                share_key=f"text:{self.binary}",
-            )
-        ]
-        if self.data_shapes:
-            regions.append(
-                Region(
-                    name="data",
-                    start_vpn=DATA_BASE_VA // PAGE_SIZE,
-                    n_pages=self.data_pages(),
-                )
-            )
-        return AddressSpaceLayout(regions=tuple(regions))
+        return _layout_for(self.binary, self.shapes, self.data_shapes)
 
     def stream_seed(self, workload_name: str) -> int:
         return zlib.crc32(f"{workload_name}:{self.name}".encode())
@@ -160,6 +141,42 @@ def _procedures_for(
     template cache, the same visit templates).
     """
     return lay_out_procedures(base_va, [list(s) for s in shapes])
+
+
+def _pages_spanned(
+    base_va: int, shapes: tuple[tuple[int, float, int, int], ...]
+) -> int:
+    end = max(p.end_va for p in _procedures_for(base_va, shapes))
+    return -(-(end - base_va) // PAGE_SIZE)
+
+
+@lru_cache(maxsize=1024)
+def _layout_for(
+    binary: str,
+    shapes: tuple[tuple[int, float, int, int], ...],
+    data_shapes: tuple[tuple[int, float, int, int], ...],
+) -> AddressSpaceLayout:
+    """Memoized address-space layout, pure in ``(binary, shapes,
+    data_shapes)`` like :func:`_procedures_for`: the runner asks for it
+    on every fork, hundreds of times per sdet or kenbus trial, and the
+    layout is immutable, so forks share it."""
+    regions = [
+        Region(
+            name="text",
+            start_vpn=TEXT_BASE_VA // PAGE_SIZE,
+            n_pages=_pages_spanned(TEXT_BASE_VA, shapes),
+            share_key=f"text:{binary}",
+        )
+    ]
+    if data_shapes:
+        regions.append(
+            Region(
+                name="data",
+                start_vpn=DATA_BASE_VA // PAGE_SIZE,
+                n_pages=_pages_spanned(DATA_BASE_VA, data_shapes),
+            )
+        )
+    return AddressSpaceLayout(regions=tuple(regions))
 
 
 @dataclass(frozen=True)

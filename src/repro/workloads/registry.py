@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 from repro.errors import ConfigError
@@ -23,8 +24,14 @@ _FACTORIES: dict[str, Callable[[], WorkloadSpec]] = {
 WORKLOAD_NAMES: tuple[str, ...] = tuple(_FACTORIES)
 
 
+@cache
 def get_workload(name: str) -> WorkloadSpec:
-    """Build the spec for one workload by name."""
+    """The spec for one workload by name, built once per process.
+
+    Specs are never mutated after construction, and building sdet or
+    kenbus (hundreds of task specs) takes about 2 ms, which every trial
+    would otherwise pay again.
+    """
     try:
         factory = _FACTORIES[name]
     except KeyError:

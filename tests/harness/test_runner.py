@@ -1,5 +1,8 @@
 """The run orchestrator under both drivers."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro._types import Component, Indexing
@@ -7,6 +10,7 @@ from repro.caches.config import CacheConfig
 from repro.core.tapeworm import TapewormConfig
 from repro.harness.runner import RunOptions, run_trace_driven, run_trap_driven
 from repro.errors import ConfigError
+from repro.machine.machine import Machine
 from repro.workloads.registry import get_workload
 
 SMALL = RunOptions(total_refs=60_000, trial_seed=1)
@@ -74,6 +78,27 @@ class TestTrapDriven:
         assert sampled.estimated_misses == pytest.approx(
             full.estimated_misses, rel=0.6
         )
+
+    def test_finished_run_frees_its_machine_without_a_collection(
+        self, monkeypatch
+    ):
+        # the runner shuts the kernel down after the report, so no
+        # reference cycle keeps the machine's ECC bitmaps alive until
+        # the cyclic garbage collector runs
+        machines = []
+        build = Machine.__init__
+
+        def tracked(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            machines.append(weakref.ref(self))
+
+        monkeypatch.setattr(Machine, "__init__", tracked)
+        gc.disable()
+        try:
+            run_trap_driven(get_workload("espresso"), _config(), SMALL)
+            assert machines and all(ref() is None for ref in machines)
+        finally:
+            gc.enable()
 
     def test_bad_options_rejected(self):
         with pytest.raises(ConfigError):

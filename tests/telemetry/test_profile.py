@@ -34,9 +34,11 @@ def _no_leaked_session():
         deactivate()
 
 
-def _run():
+def _run(associativity: int = 1):
     spec = get_workload("espresso")
-    config = TapewormConfig(cache=CacheConfig(size_bytes=2048))
+    config = TapewormConfig(
+        cache=CacheConfig(size_bytes=2048, associativity=associativity)
+    )
     options = RunOptions(total_refs=30_000, trial_seed=3)
     return run_trap_driven(spec, config, options)
 
@@ -115,14 +117,27 @@ class TestUnobtrusive:
         assert dataclasses.asdict(control) == dataclasses.asdict(baseline)
         assert profiled.slowdown == baseline.slowdown
 
-        # while the profiler genuinely measured the run: trap-driven
-        # simulation rebuilds its rescan index under a phase timer
+        # while the profiler genuinely measured the run: a direct-mapped
+        # physical cache takes its traps a segment at a time under a
+        # phase timer
         snapshot = session.metrics.snapshot()
         profile_keys = [k for k in snapshot if k.startswith("profile.")]
         assert profile_keys, "profiling on but no profile.* series"
+        assert snapshot["profile.machine.trap_batch"]["count"] > 0
+
+    def test_per_trap_rescans_profiled_bit_identically(self):
+        # a 2-way cache keeps per-trap delivery, which rebuilds its
+        # rescan index under a phase timer
+        baseline = _run(associativity=2)
+        with enabled(profile=True) as session:
+            profiled = _run(associativity=2)
+
+        assert dataclasses.asdict(profiled) == dataclasses.asdict(baseline)
+        snapshot = session.metrics.snapshot()
         assert (
             snapshot["profile.machine.rescan_index{kind=granule}"]["count"] > 0
         )
+        assert "profile.machine.trap_batch" not in snapshot
 
     def test_profile_off_records_no_profile_series(self):
         with enabled() as session:
