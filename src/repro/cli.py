@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run a batch through the supervised, crash-recoverable farm "
-             "service (journal + supervisor + admission + GC)",
+             "service (journal + supervisor + GC)",
     )
     serve.add_argument(
         "--measure", default="chaos.probe", metavar="NAME",
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--client", default="cli", metavar="ID",
-        help="client id for fair-share admission",
+        help="client id recorded in the journal",
     )
     serve.add_argument(
         "--batch", default="", metavar="LABEL",
@@ -1607,10 +1607,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{resumed['unreplayable']} unreplayable"
             )
         if ticket is not None:
-            print(
-                f"ticket        : #{ticket.ticket_id} {ticket.state}"
-                + (" [degraded to serial]" if ticket.degraded else "")
-            )
+            print(f"ticket        : #{ticket.ticket_id} {ticket.state}")
             if ticket.results is not None:
                 print(f"values        : {ticket.results}")
             for key, reason in (ticket.reasons or {}).items():

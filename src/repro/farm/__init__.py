@@ -30,7 +30,6 @@ This module deliberately avoids importing :mod:`repro.farm.measures`
 import path when a job first needs them.
 """
 
-from repro.farm.admission import AdmissionConfig, AdmissionController, Ticket
 from repro.farm.cache import ResultCache
 from repro.farm.gc import CacheGC, journal_pins
 from repro.farm.jobs import CODE_VERSION, Job, canonical, fingerprint
@@ -44,12 +43,10 @@ from repro.farm.registry import (
     registered_names,
     resolve,
 )
-from repro.farm.service import FarmService, ServiceConfig
+from repro.farm.service import FarmService, ServiceConfig, Ticket
 from repro.farm.supervisor import SupervisorConfig, WorkerSupervisor
 
 __all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
     "BUILTIN_MEASURES",
     "CODE_VERSION",
     "CacheGC",

@@ -458,13 +458,20 @@ class JobJournal:
         self._entries = {}
         return count
 
-    def publish(self, metrics) -> None:
-        """Snapshot journal health under ``farm.service.journal.*``."""
+    def tally(self) -> tuple[int, int]:
+        """Fenced commits and corrupt lines so far: the baseline a later
+        :meth:`publish` counts increments from."""
+        return self.fenced_commits, self.corrupt
+
+    def publish(self, metrics, since: tuple[int, int] = (0, 0)) -> None:
+        """Snapshot journal health under ``farm.service.journal.*``, and
+        count the fenced commits and corrupt lines seen after the
+        :meth:`tally` ``since`` (the default counts them all)."""
         for state, count in self.counts().items():
             metrics.gauge(f"farm.service.journal.{state}").set(count)
-        if self.fenced_commits:
-            metrics.counter("farm.service.fenced_commits").inc(
-                self.fenced_commits
-            )
-        if self.corrupt:
-            metrics.counter("farm.service.journal.corrupt").inc(self.corrupt)
+        fenced = self.fenced_commits - since[0]
+        if fenced:
+            metrics.counter("farm.service.fenced_commits").inc(fenced)
+        corrupt = self.corrupt - since[1]
+        if corrupt:
+            metrics.counter("farm.service.journal.corrupt").inc(corrupt)

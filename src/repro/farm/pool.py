@@ -160,6 +160,12 @@ class Farm:
         run = FarmMetrics(workers=self.config.max_workers)
         run.jobs = len(jobs)
         corrupt_before = self.cache.corrupt
+        strikes_before = (
+            self.supervisor.strikes if self.supervisor is not None else 0
+        )
+        journal_before = (
+            self.journal.tally() if self.journal is not None else (0, 0)
+        )
         start = time.perf_counter()
         self._batch_started = start
         session = _telemetry()
@@ -206,28 +212,33 @@ class Farm:
                 else:
                     pending[index] = job
 
-            if pending:
-                if self.config.max_workers == 1:
-                    self._run_serial(pending, keys, results, run)
-                else:
-                    try:
-                        self._run_pool(pending, keys, results, run)
-                    except _PoolUnavailable:
-                        run.fallback_serial = True
+            try:
+                if pending:
+                    if self.config.max_workers == 1:
                         self._run_serial(pending, keys, results, run)
-
-            run.wall_clock_secs = time.perf_counter() - start
-            run.cache_corrupt = self.cache.corrupt - corrupt_before
-            run.poisoned = len(self._poisoned)
-            self.last_run = run
-            self.metrics.merge(run)
-            self.cache.record_run(run.summary())
-            if session is not None:
-                run.publish(session.metrics)
-                if self.supervisor is not None:
-                    self.supervisor.publish(session.metrics)
-                if self.journal is not None:
-                    self.journal.publish(session.metrics)
+                    else:
+                        try:
+                            self._run_pool(pending, keys, results, run)
+                        except _PoolUnavailable:
+                            run.fallback_serial = True
+                            self._run_serial(pending, keys, results, run)
+            finally:
+                # a batch that raises (retries exhausted, a measure's
+                # own exception) still accounts for the work it did
+                run.wall_clock_secs = time.perf_counter() - start
+                run.cache_corrupt = self.cache.corrupt - corrupt_before
+                run.poisoned = len(self._poisoned)
+                self.last_run = run
+                self.metrics.merge(run)
+                self.cache.record_run(run.summary())
+                if session is not None:
+                    run.publish(session.metrics)
+                    if self.supervisor is not None:
+                        self.supervisor.publish(
+                            session.metrics, strikes_before
+                        )
+                    if self.journal is not None:
+                        self.journal.publish(session.metrics, journal_before)
         if self._poisoned:
             # everything healthy finished (and is cached/journaled);
             # report the quarantined stragglers with their reasons
@@ -440,23 +451,14 @@ class Farm:
         run: FarmMetrics,
     ) -> None:
         config = self.config
-        supervisor = self.supervisor
         attempts = 0
         consecutive_failures = 0
         jitter_rng = random.Random(config.backoff_seed)
-        timeout = config.job_timeout
-        if supervisor is not None:
-            timeout = supervisor.effective_deadline(config.job_timeout)
         while pending:
             if (
                 config.breaker_threshold
                 and consecutive_failures >= config.breaker_threshold
             ):
-                self._trip_breaker(pending, keys, results, run)
-                return
-            if supervisor is not None and supervisor.flapping:
-                # the pool is crashing faster than it does work:
-                # degrade to serial before burning more workers
                 self._trip_breaker(pending, keys, results, run)
                 return
             if self.journal is not None:
@@ -481,7 +483,7 @@ class Farm:
                     with _span(
                         "farm.result", job_key=keys[index][:12]
                     ):
-                        result = future.result(timeout=timeout)
+                        result = future.result(timeout=config.job_timeout)
                     value, elapsed = result[0], result[1]
                     self._store(
                         index, pending[index], keys[index], value, elapsed,
@@ -489,13 +491,9 @@ class Farm:
                     )
                     if len(result) > 2:
                         self._absorb_envelope(result[2], elapsed)
-                        if supervisor is not None:
-                            supervisor.observe_heartbeat(result[2])
                     del pending[index]
                     progressed = True
                 pool.shutdown(wait=True)
-                if supervisor is not None:
-                    supervisor.record_progress()
             except (BrokenProcessPool, FutureTimeoutError) as exc:
                 # a worker died (or a job hung): drop the poisoned pool
                 # without waiting on it, then back off and retry what's
@@ -507,9 +505,9 @@ class Farm:
                 )
                 delay = config.backoff_delay(attempts, jitter_rng)
                 run.record_retry(attempts, delay)
-                if supervisor is not None:
-                    delay += self._supervise_failure(
-                        exc, culprit, pending, keys, attempts, progressed, run
+                if self.supervisor is not None:
+                    self._supervise_failure(
+                        exc, culprit, pending, keys, attempts
                     )
                 session = _telemetry()
                 if session is not None:
@@ -552,11 +550,8 @@ class Farm:
         pending: dict[int, Job],
         keys: list[str],
         attempts: int,
-        progressed: bool,
-        run: FarmMetrics,
-    ) -> float:
-        """Strike the culprit job, poison it if it keeps killing
-        workers, and meter the pool restart; returns the cool-down."""
+    ) -> None:
+        """Strike the culprit job; poison it if it keeps killing workers."""
         supervisor = self.supervisor
         assert supervisor is not None
         kind = (
@@ -585,7 +580,6 @@ class Farm:
                         job_key=keys[culprit][:12],
                         strikes=len(reason["strikes"]),
                     )
-        return supervisor.record_round(progressed)
 
     def _make_pool(self, n_pending: int) -> ProcessPoolExecutor:
         workers = min(self.config.max_workers, n_pending)

@@ -32,6 +32,7 @@ class FarmMetrics:
     jobs: int = 0
     cache_hits: int = 0
     executed: int = 0
+    #: failed pool rounds (the service reports them as pool restarts)
     retries: int = 0
     fallback_serial: bool = False
     #: the circuit breaker degraded the batch to serial execution

@@ -1,41 +1,42 @@
-"""The supervised farm service: journal + supervisor + admission + GC.
+"""The supervised farm service: journal + supervisor + GC.
 
 :class:`FarmService` is the long-running form of the PR 1 farm — the
-ROADMAP's "serve heavy traffic" promotion.  It composes the four
-service-plane pieces this package grew:
+ROADMAP's "serve heavy traffic" promotion.  It composes three
+service-plane pieces around one :class:`~repro.farm.pool.Farm`:
 
 * every submitted batch is journaled (:mod:`repro.farm.journal`)
   *before* it runs, so a SIGKILL at any instant is recoverable:
-  :meth:`FarmService.resume` replays exactly the unfinished work,
-  reconciling jobs whose values already reached the result cache
-  rather than re-executing them (exactly-once observable effect);
-* the pool runs under a :class:`~repro.farm.supervisor.WorkerSupervisor`
-  — hang/crash/flap detection, poison quarantine, restart cool-down;
-* clients enter through an
-  :class:`~repro.farm.admission.AdmissionController` — bounded queue,
-  fair share across client ids, load shedding that degrades to serial
-  execution (bit-identical by the farm determinism contract) instead
-  of rejecting;
+  :meth:`FarmService.resume` replays exactly the unfinished work through
+  the same farm, reconciling jobs whose values already reached the
+  result cache rather than re-executing them (exactly-once observable
+  effect);
+* the pool runs under a :class:`~repro.farm.supervisor.WorkerSupervisor`,
+  which attributes worker crashes and deadline overruns to jobs and
+  quarantines the ones that keep killing workers;
 * the cache tiers are held under a byte budget by
   :class:`~repro.farm.gc.CacheGC`, with journal leases pinning
   in-flight entries.
 
-The service is single-threaded: ``submit`` queues, ``drain`` runs.
-That mirrors the paper's reality — one master schedules everything —
-and keeps every run bit-reproducible; "service" here means surviving
-crashes, bad jobs and overload across a long life, not threads.
+Retries, back-off, the per-job deadline and the degrade-to-serial
+circuit breaker are the farm's own (:class:`FarmConfig`).
+
+The service is single-threaded: ``submit`` queues, ``drain`` runs the
+queue in submit order.  That mirrors the paper's reality — one master
+schedules everything — and keeps every run bit-reproducible; "service"
+here means surviving crashes and bad jobs across a long life, not
+threads.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import logging
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.errors import FarmError, PoisonedJobsError
-from repro.farm.admission import AdmissionConfig, AdmissionController, Ticket
 from repro.farm.gc import CacheGC
 from repro.farm.jobs import Job
 from repro.farm.journal import JobJournal, JournalEntry
@@ -47,17 +48,36 @@ from repro.telemetry.spans import span as _span
 logger = logging.getLogger(__name__)
 
 
+@dataclass
+class Ticket:
+    """One client batch moving through the service."""
+
+    ticket_id: int
+    client: str
+    jobs: list[Job]
+    batch: str = ""
+    state: str = "queued"
+    results: list[Any] | None = None
+    error: str = ""
+    reasons: dict[str, Any] = field(default_factory=dict)
+
+    def summary(self) -> dict[str, Any]:
+        return {
+            "ticket": self.ticket_id,
+            "client": self.client,
+            "batch": self.batch,
+            "jobs": len(self.jobs),
+            "state": self.state,
+            "error": self.error,
+        }
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Everything the service adds on top of a :class:`FarmConfig`."""
 
-    farm: FarmConfig = dataclasses.field(default_factory=FarmConfig)
-    supervisor: SupervisorConfig = dataclasses.field(
-        default_factory=SupervisorConfig
-    )
-    admission: AdmissionConfig = dataclasses.field(
-        default_factory=AdmissionConfig
-    )
+    farm: FarmConfig = field(default_factory=FarmConfig)
+    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     #: per-tier cache byte budget enforced by :meth:`FarmService.gc`
     cache_budget_bytes: int | None = None
     #: stream cache dir the GC also tends (None = skip)
@@ -67,7 +87,7 @@ class ServiceConfig:
 
 
 class FarmService:
-    """A crash-recoverable, supervised, admission-controlled farm."""
+    """A crash-recoverable, supervised farm."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
@@ -77,17 +97,10 @@ class FarmService:
         self.supervisor = WorkerSupervisor(
             self.config.supervisor, ledger_dir=cache_dir
         )
-        self.admission = AdmissionController(self.config.admission)
         self.farm.journal = self.journal
         self.farm.supervisor = self.supervisor
-        # the degraded lane: same cache, same journal, serial execution
-        self._serial_farm = Farm(
-            dataclasses.replace(
-                self.config.farm, max_workers=1, worker_faults=None
-            )
-        )
-        self._serial_farm.cache = self.farm.cache
-        self._serial_farm.journal = self.journal
+        self._queue: deque[Ticket] = deque()
+        self._ids = itertools.count(1)
         self.completed: list[Ticket] = []
 
     # -- intake
@@ -98,27 +111,30 @@ class FarmService:
         client: str = "default",
         batch: str = "",
     ) -> Ticket:
-        """Admit one batch; it runs at the next :meth:`drain`."""
-        ticket = self.admission.submit(jobs, client=client, batch=batch)
-        if not batch:
-            ticket.batch = f"ticket-{ticket.ticket_id}"
+        """Queue one batch; it runs at the next :meth:`drain`."""
+        ticket_id = next(self._ids)
+        ticket = Ticket(
+            ticket_id=ticket_id,
+            client=client,
+            jobs=list(jobs),
+            batch=batch or f"ticket-{ticket_id}",
+        )
+        self._queue.append(ticket)
         return ticket
 
     # -- execution
 
     def _run_ticket(self, ticket: Ticket) -> Ticket:
-        farm = self._serial_farm if ticket.degraded else self.farm
-        farm.batch_label = ticket.batch
-        farm.client_id = ticket.client
+        self.farm.batch_label = ticket.batch
+        self.farm.client_id = ticket.client
         with _span(
             "farm.service.ticket",
             ticket=ticket.ticket_id,
             client=ticket.client,
             jobs=len(ticket.jobs),
-            degraded=ticket.degraded,
         ):
             try:
-                ticket.results = farm.run_jobs(ticket.jobs)
+                ticket.results = self.farm.run_jobs(ticket.jobs)
                 ticket.state = "done"
             except PoisonedJobsError as exc:
                 # healthy jobs all completed (and are cached/journaled);
@@ -134,16 +150,10 @@ class FarmService:
         return ticket
 
     def drain(self) -> list[Ticket]:
-        """Run every queued ticket in fair-share order."""
+        """Run every queued ticket, in submit order."""
         finished = []
-        while True:
-            ticket = self.admission.next_ticket()
-            if ticket is None:
-                break
-            finished.append(self._run_ticket(ticket))
-        session = _telemetry()
-        if session is not None:
-            self.admission.publish(session.metrics)
+        while self._queue:
+            finished.append(self._run_ticket(self._queue.popleft()))
         return finished
 
     def run(
@@ -172,8 +182,10 @@ class FarmService:
         For every queued/leased journal entry: a value already durable
         in the result cache is *reconciled* (journal marked done, no
         execution — the crash landed between cache write and commit);
-        everything else is re-executed through the serial lane, whose
-        results are bit-identical to the pooled run that died.
+        everything else is re-executed through the service's farm, one
+        batch per run of entries sharing a batch label and client.  By
+        the farm determinism contract the values are bit-identical to
+        those of the run that died.
         """
         report = {
             "incomplete": 0,
@@ -181,6 +193,8 @@ class FarmService:
             "executed": 0,
             "unreplayable": 0,
         }
+        session = _telemetry()
+        journal_before = self.journal.tally()
         incomplete = self.journal.incomplete()
         report["incomplete"] = len(incomplete)
         rerun: list[tuple[JournalEntry, Job]] = []
@@ -205,12 +219,18 @@ class FarmService:
                     report["unreplayable"] += 1
                     continue
                 rerun.append((entry, job))
-            for entry, job in rerun:
-                self._serial_farm.batch_label = entry.batch
-                self._serial_farm.client_id = entry.client
-                self._serial_farm.run_jobs([job])
-                report["executed"] += 1
-        session = _telemetry()
+            if session is not None:
+                # loading the journal may have quarantined corrupt lines;
+                # each replayed batch below publishes its own increments
+                self.journal.publish(session.metrics, journal_before)
+            for (batch, client), group in itertools.groupby(
+                rerun, key=lambda pair: (pair[0].batch, pair[0].client)
+            ):
+                jobs = [job for _entry, job in group]
+                self.farm.batch_label = batch
+                self.farm.client_id = client
+                self.farm.run_jobs(jobs)
+                report["executed"] += len(jobs)
         if session is not None:
             for name, value in report.items():
                 if value:
@@ -251,10 +271,13 @@ class FarmService:
     # -- observability
 
     def status(self) -> dict[str, Any]:
+        supervisor = self.supervisor.summary()
+        # every failed pool round rebuilds the pool and counts one retry
+        supervisor["restarts"] = self.farm.metrics.retries
         return {
             "journal": self.journal.counts(),
-            "admission": self.admission.summary(),
-            "supervisor": self.supervisor.summary(),
+            "tickets_queued": len(self._queue),
+            "supervisor": supervisor,
             "tickets_completed": len(self.completed),
             "cache_entries": len(self.farm.cache),
         }
@@ -262,20 +285,14 @@ class FarmService:
     def render_status(self) -> str:
         status = self.status()
         journal = status["journal"]
-        admission = status["admission"]
         supervisor = status["supervisor"]
         lines = [
             "journal       : "
             + ", ".join(f"{k}={v}" for k, v in journal.items()),
-            f"queue         : {admission['queue_depth']} job(s) in "
-            f"{admission['tickets_queued']} ticket(s) from "
-            f"{admission['clients']} client(s)",
-            f"admitted/shed : {admission['admitted']}/{admission['shed']}"
-            + (" [degraded latched]" if admission["degraded_latched"] else ""),
+            f"queue         : {status['tickets_queued']} ticket(s) waiting",
             f"supervisor    : {supervisor['poisoned']} poisoned, "
             f"{supervisor['strikes']} strike(s), "
-            f"{supervisor['restarts']} restart(s)"
-            + (" [flapping]" if supervisor["flapping"] else ""),
+            f"{supervisor['restarts']} restart(s)",
             f"cache         : {status['cache_entries']} result(s)",
             f"tickets done  : {status['tickets_completed']}",
         ]

@@ -577,9 +577,7 @@ def _run_poison_storm(specs: list[FaultSpec], tmp: Path) -> FaultOutcome:
                 max_retries=2 * len(toxic) + 3,
                 worker_faults=WorkerFaults(kills=toxic, persistent=True),
             ),
-            supervisor=SupervisorConfig(
-                poison_strikes=2, flap_threshold=99
-            ),
+            supervisor=SupervisorConfig(poison_strikes=2),
         )
     )
     ticket = svc.run(_probe_jobs(), client="chaos", batch="storm")

@@ -82,7 +82,9 @@ def test_persistent_crash_raises_clean_error(tmp_path):
     )
     with pytest.raises(FarmError, match="test.crash_always"):
         farm.run_jobs(_jobs("test.crash_always", 2))
-    assert farm.last_run is None  # the batch never completed
+    # the failed batch is still accounted: both rounds failed, none ran
+    assert farm.last_run.retries == 2
+    assert farm.last_run.executed == 0
 
 
 def test_job_timeout_raises_after_retries(tmp_path):

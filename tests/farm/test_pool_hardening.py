@@ -138,6 +138,22 @@ class TestCircuitBreaker:
         with pytest.raises(FarmError, match="still failing"):
             farm.run_jobs(_probe_jobs())
 
+    def test_exhausted_retries_still_record_the_batch(self, tmp_path):
+        farm = Farm(FarmConfig(
+            max_workers=2, cache_dir=tmp_path / "cache",
+            max_retries=1, backoff_base=0.01,
+            worker_faults=WorkerFaults(
+                kills=frozenset({0, 1, 2}), persistent=True
+            ),
+        ))
+        with pytest.raises(FarmError, match="still failing"):
+            farm.run_jobs(_probe_jobs())
+        assert farm.last_run.retries == 2  # max_retries + 1 failed rounds
+        assert farm.metrics.retries == 2
+        stats = farm.cache.read_stats()
+        assert stats["runs"] == 1
+        assert stats["retries"] == 2
+
     def test_breaker_summary_key_round_trips(self, tmp_path):
         farm = Farm(FarmConfig(
             max_workers=2, cache_dir=tmp_path / "cache",

@@ -9,9 +9,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.farm import (
-    AdmissionConfig,
+    Farm,
     FarmConfig,
     FarmService,
     Job,
@@ -22,7 +24,8 @@ from repro.farm import (
 from repro.farm.journal import DONE, FAILED, LEASED, POISONED, QUEUED
 from repro.farm.service import journal_rows
 from repro.farm.supervisor import POISON_FILE
-from repro.faults.infra import chaos_probe
+from repro.faults.infra import WorkerFaults, chaos_probe
+from repro.telemetry.session import TelemetrySession, activate, deactivate
 
 import tests.farm.measures_for_tests  # noqa: F401  (registers test.*)
 
@@ -54,24 +57,39 @@ class TestServiceRun:
         ticket = service.submit(_doubles(1))
         assert ticket.batch == "ticket-1"
 
-    def test_degraded_ticket_is_bit_identical(self, tmp_path):
-        service = _service(
-            tmp_path / "svc",
-            admission=AdmissionConfig(max_queue_depth=2),
-        )
-        service.submit(_doubles(2), client="a")
-        burst = service.submit(
-            [Job("test.double", {}, seed=i) for i in range(10, 13)],
-            client="b",
-        )
-        assert burst.degraded
-        service.drain()
-        # the shed-to-serial lane returned the same bits the pool would
-        reference = _service(tmp_path / "ref").run(
-            [Job("test.double", {}, seed=i) for i in range(10, 13)]
-        )
-        assert burst.state == "done"
-        assert burst.results == reference.results
+    def test_ticket_summary_shape(self, tmp_path):
+        ticket = _service(tmp_path).submit(_doubles(2), client="c", batch="b")
+        assert ticket.summary() == {
+            "ticket": 1,
+            "client": "c",
+            "batch": "b",
+            "jobs": 2,
+            "state": "queued",
+            "error": "",
+        }
+
+    def test_drain_runs_tickets_in_submit_order(self, tmp_path):
+        service = _service(tmp_path)
+        first = service.submit(_doubles(1), client="a")
+        second = service.submit(_doubles(2), client="a")
+        third = service.submit(_doubles(3), client="b")
+        assert service.drain() == [first, second, third]
+        assert service.completed == [first, second, third]
+        assert third.results == [0.0, 2.0, 4.0]
+
+    def test_large_ticket_runs_on_the_pool(self, tmp_path, monkeypatch):
+        pooled = []
+        run_pool = Farm._run_pool
+
+        def spy(farm, pending, *args):
+            pooled.append(len(pending))
+            return run_pool(farm, pending, *args)
+
+        monkeypatch.setattr(Farm, "_run_pool", spy)
+        ticket = _service(tmp_path, workers=2).run(_doubles(65))
+        assert pooled == [65]
+        assert ticket.state == "done"
+        assert ticket.results == [seed * 2.0 for seed in range(65)]
 
     def test_render_status_names_every_plane(self, tmp_path):
         service = _service(tmp_path)
@@ -99,9 +117,7 @@ class TestPoisonQuarantine:
                     max_retries=3,
                     backoff_base=0.0,
                 ),
-                supervisor=SupervisorConfig(
-                    poison_strikes=2, cooldown_base=0.0
-                ),
+                supervisor=SupervisorConfig(poison_strikes=2),
             )
         )
         job = Job("test.crash_always", {}, seed=0)
@@ -114,6 +130,83 @@ class TestPoisonQuarantine:
         # the service survives: the next healthy batch still runs
         after = service.run(_doubles(2), client="t")
         assert after.state == "done" and after.results == [0.0, 2.0]
+
+
+class TestOneDegradePath:
+    """Only the pool's per-batch breaker degrades a batch to serial."""
+
+    def test_failed_ticket_leaves_the_next_one_on_the_pool(self, tmp_path):
+        service = FarmService(
+            ServiceConfig(
+                farm=FarmConfig(
+                    max_workers=2, cache_dir=tmp_path, backoff_base=0.0
+                ),
+                # more strikes than rounds: the job exhausts its retries
+                # instead of being quarantined
+                supervisor=SupervisorConfig(poison_strikes=4),
+            )
+        )
+        service.run(_doubles(2))
+        if service.farm.last_run.fallback_serial:  # pragma: no cover
+            pytest.skip("no process pool available")
+        failed = service.run([Job("test.crash_always", {}, seed=0)])
+        assert failed.state == "failed"
+        assert "still failing" in failed.error
+        healthy = service.run(
+            [Job("test.double", {}, seed=i) for i in (10, 11, 12)]
+        )
+        assert healthy.state == "done"
+        assert healthy.results == [20.0, 22.0, 24.0]
+        run = service.farm.last_run
+        assert run.executed == 3
+        assert not run.breaker_tripped
+        assert not run.fallback_serial
+
+
+class TestPublishedCounters:
+    def test_each_batch_publishes_its_own_increments(self, tmp_path):
+        tmp_path.joinpath("journal.jsonl").write_text("not json\n")
+        service = FarmService(
+            ServiceConfig(
+                farm=FarmConfig(
+                    max_workers=2,
+                    cache_dir=tmp_path,
+                    backoff_base=0.0,
+                    # every ticket's one job loses its first worker
+                    worker_faults=WorkerFaults(kills=frozenset({0})),
+                )
+            )
+        )
+        session = activate(TelemetrySession())
+        try:
+            for seed in range(3):
+                service.run([Job("chaos.probe", {}, seed=seed)])
+        finally:
+            deactivate()
+        snap = session.metrics.snapshot()
+        assert service.journal.corrupt == 1
+        assert snap["farm.service.journal.corrupt"] == 1
+        assert snap.get("farm.service.fenced_commits", 0) == 0
+        strikes = service.supervisor.strikes
+        assert snap.get("farm.supervisor.strikes", 0) == strikes
+        if not service.farm.last_run.fallback_serial:
+            assert strikes == 3
+
+    def test_resume_publishes_the_corruption_its_scan_found(self, tmp_path):
+        jobs = _doubles(2)
+        _service(tmp_path).journal.queue(
+            [(job, job.key()) for job in jobs], batch="b", client="c"
+        )
+        with open(tmp_path / "journal.jsonl", "a") as journal:
+            journal.write("not json\n")
+        session = activate(TelemetrySession())
+        try:
+            report = _service(tmp_path).resume()
+        finally:
+            deactivate()
+        assert report["executed"] == 2
+        snap = session.metrics.snapshot()
+        assert snap["farm.service.journal.corrupt"] == 1
 
 
 class TestResumeExactlyOnce:

@@ -1,4 +1,4 @@
-"""Worker supervision: strikes, poison quarantine, flap, cool-down."""
+"""Worker supervision: strike attribution and poison quarantine."""
 
 from __future__ import annotations
 
@@ -74,98 +74,19 @@ class TestPoisoning:
         assert (tmp_path / f"{POISON_FILE}.1").exists()
 
 
-class TestFlapAndCooldown:
-    def test_flap_needs_consecutive_no_progress_rounds(self):
-        supervisor = WorkerSupervisor(SupervisorConfig(flap_threshold=2))
-        supervisor.record_round(progressed=False)
-        assert not supervisor.flapping
-        supervisor.record_round(progressed=False)
-        assert supervisor.flapping
-
-    def test_progress_resets_the_flap_count(self):
-        supervisor = WorkerSupervisor(SupervisorConfig(flap_threshold=3))
-        supervisor.record_round(progressed=False)
-        supervisor.record_round(progressed=False)
-        # a failed round that still retired jobs restarts the streak at 1
-        supervisor.record_round(progressed=True)
-        assert supervisor.consecutive_failures == 1
-        supervisor.record_round(progressed=False)
-        assert not supervisor.flapping
-        supervisor.record_progress()
-        assert supervisor.consecutive_failures == 0
-
-    def test_cooldown_grows_exponentially_to_the_cap(self):
-        config = SupervisorConfig(cooldown_base=0.1, cooldown_max=0.5)
-        assert config.cooldown(1) == pytest.approx(0.1)
-        assert config.cooldown(2) == pytest.approx(0.2)
-        assert config.cooldown(3) == pytest.approx(0.4)
-        assert config.cooldown(4) == pytest.approx(0.5)  # capped
-
-    def test_zero_base_means_no_cooldown(self):
-        supervisor = WorkerSupervisor(SupervisorConfig(cooldown_base=0.0))
-        assert supervisor.record_round(progressed=False) == 0.0
-        assert supervisor.cooldown_secs_total == 0.0
-
-
-class TestHeartbeats:
-    def test_envelopes_feed_liveness(self):
-        supervisor = WorkerSupervisor()
-        supervisor.observe_heartbeat({"worker_pid": 101})
-        supervisor.observe_heartbeat({"worker_pid": 102})
-        supervisor.observe_heartbeat({"worker_pid": 101})
-        assert supervisor.heartbeats == 3
-        assert supervisor.workers_seen == 2
-        assert supervisor.stale_workers() == []
-
-    def test_stale_workers_age_out(self):
-        supervisor = WorkerSupervisor(
-            SupervisorConfig(heartbeat_stale_secs=10.0)
-        )
-        supervisor.observe_heartbeat({"worker_pid": 7})
-        import time
-
-        assert supervisor.stale_workers(now=time.monotonic() + 11) == [7]
-
-    def test_garbage_envelopes_are_ignored(self):
-        supervisor = WorkerSupervisor()
-        supervisor.observe_heartbeat(None)
-        supervisor.observe_heartbeat({"no_pid": True})
-        supervisor.observe_heartbeat({"worker_pid": "not-an-int"})
-        assert supervisor.heartbeats == 0
-
-
 class TestConfigAndReporting:
-    def test_deadline_prefers_the_farm_timeout(self):
-        supervisor = WorkerSupervisor(SupervisorConfig(deadline_secs=5.0))
-        assert supervisor.effective_deadline(2.0) == 2.0
-        assert supervisor.effective_deadline(None) == 5.0
-        assert WorkerSupervisor().effective_deadline(None) is None
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SupervisorConfig(poison_strikes=0)
-        with pytest.raises(ConfigError):
-            SupervisorConfig(flap_threshold=0)
-        with pytest.raises(ConfigError):
-            SupervisorConfig(cooldown_base=1.0, cooldown_max=0.5)
-        with pytest.raises(ConfigError):
-            SupervisorConfig(deadline_secs=0)
 
     def test_publish_and_summary(self):
         supervisor = WorkerSupervisor(SupervisorConfig(poison_strikes=2))
         supervisor.record_strike("k", STRIKE_WORKER_CRASH, "", 0)
         supervisor.record_strike("k", STRIKE_WORKER_CRASH, "", 1)
-        supervisor.record_round(progressed=False)
-        supervisor.observe_heartbeat({"worker_pid": 9})
         summary = supervisor.summary()
         assert summary["poisoned"] == 1
         assert summary["strikes"] == 2
-        assert summary["restarts"] == 1
         registry = MetricsRegistry()
         supervisor.publish(registry)
         snap = registry.snapshot()
-        assert snap["farm.supervisor.poisoned"] == 1
         assert snap["farm.supervisor.strikes"] == 2
-        assert snap["farm.supervisor.restarts"] == 1
-        assert snap["farm.supervisor.heartbeats"] == 1
-        assert snap["farm.supervisor.workers_seen"] == 1
