@@ -66,12 +66,7 @@ from repro.streams import (
     StreamTransport,
     WarmupPlan,
 )
-from repro.telemetry import (
-    EventTracer,
-    MetricsRegistry,
-    RunManifest,
-    TelemetrySession,
-)
+from repro.telemetry import MetricsRegistry, RunManifest, TelemetrySession
 from repro.tracing import Cache2000, PixieTracer
 from repro.workloads import WORKLOAD_NAMES, get_workload
 
@@ -116,7 +111,6 @@ __all__ = [
     "MachineConfig",
     "TelemetrySession",
     "MetricsRegistry",
-    "EventTracer",
     "RunManifest",
     "Cache2000",
     "PixieTracer",

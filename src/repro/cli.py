@@ -34,13 +34,15 @@ inject machine-plane faults (and, with ``--jobs``, worker faults) into
 an ordinary simulation; without the flag the fault subsystem is inert
 and results are bit-identical to a build without it.
 
-``run`` and ``reproduce`` accept ``--trace-out`` (Chrome ``trace_event``
-JSON for Perfetto — with ``--jobs`` the file carries the master's span
-lane plus one lane per farm worker), ``--metrics-out`` (metrics-registry
-snapshot JSON) and ``--manifest-out``; unless ``--no-manifest`` is
-given, every invocation appends a run-manifest record next to the farm
-cache.  ``--profile`` additionally times the simulator's hot-path
-phases into ``profile.*`` histograms; results stay bit-identical.
+``run``, ``reproduce`` and ``sweep grid`` accept ``--trace-out`` (the
+run's timeline as Chrome ``trace_event`` JSON for Perfetto — with
+``--jobs`` it carries one lane per farm worker), ``--metrics-out``
+(metrics-registry snapshot JSON) and ``--manifest-out``; unless
+``--no-manifest`` is given, every invocation appends a run-manifest
+record next to the farm cache.  ``--trace-capacity`` bounds the
+timeline per clock; ``telemetry.dropped`` counts what it refused.
+``--profile`` additionally times the simulator's hot-path phases into
+``profile.*`` histograms; results stay bit-identical.
 
 ``run``, ``trace`` and ``reproduce`` use the compiled reference-stream
 store (``.stream-cache/``) by default: each workload's streams are
@@ -56,7 +58,9 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Mapping, Sequence
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro import telemetry
 from repro._types import Component, Indexing
@@ -159,8 +163,9 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("telemetry")
     group.add_argument(
         "--trace-out", metavar="PATH", default=None,
-        help="write the trap-level event trace as Chrome trace_event JSON "
-             "(open in Perfetto; '-' for stdout)",
+        help="write the run's timeline (simulated-machine traps, farm jobs, "
+             "spans) as Chrome trace_event JSON (open in Perfetto; '-' for "
+             "stdout)",
     )
     group.add_argument(
         "--metrics-out", metavar="PATH", default=None,
@@ -177,7 +182,9 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--trace-capacity", type=int, default=telemetry.DEFAULT_TRACE_CAPACITY,
-        metavar="N", help="event ring-buffer capacity (oldest dropped beyond it)",
+        metavar="N",
+        help="timeline records kept per clock (simulated and wall); later "
+             "records are dropped and counted in telemetry.dropped",
     )
     group.add_argument(
         "--profile", action="store_true",
@@ -640,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# telemetry plumbing shared by ``run`` and ``reproduce``
+# session plumbing shared by the simulation commands
 # ---------------------------------------------------------------------------
 
 
@@ -655,43 +662,85 @@ def _write_or_print(target: str, payload: str) -> None:
         path.write_text(payload + "\n")
 
 
-def _begin_telemetry(args: argparse.Namespace):
-    """Activate a session when any telemetry output is wanted."""
-    wanted = (
-        args.trace_out
-        or args.metrics_out
-        or args.manifest_out
-        or args.profile
-        or not args.no_manifest
-    )
-    if not wanted:
-        return None
-    return telemetry.activate(
-        telemetry.TelemetrySession(
-            trace_capacity=args.trace_capacity, profile=args.profile
-        )
+def _telemetry_wanted(args: argparse.Namespace) -> bool:
+    """Whether any telemetry output was asked for (commands without
+    the telemetry flags never ask)."""
+    return hasattr(args, "trace_capacity") and bool(
+        args.trace_out or args.metrics_out or args.manifest_out
+        or args.profile or not args.no_manifest
     )
 
 
-def _finish_telemetry(
+@dataclass
+class _Scope:
+    """The sessions one simulation command activated (None: not wanted)."""
+
+    streams: Any
+    telemetry: telemetry.TelemetrySession | None = None
+    faults: Any = None
+
+    def snapshot(self) -> dict[str, Any]:
+        """Metrics for a manifest or ``--metrics-out``, with the stream
+        counters and the timeline's drops published first (both
+        delta-based); empty without telemetry."""
+        if self.telemetry is None:
+            return {}
+        self.streams.publish_metrics(self.telemetry.metrics)
+        return self.telemetry.snapshot()
+
+
+@contextmanager
+def _sessions(args: argparse.Namespace, fault_plan=None) -> Iterator[_Scope]:
+    """Activate a simulation command's stream, telemetry and fault
+    sessions; on any exit, deactivate whatever was activated.
+
+    Streams are on by default: compiled streams are bit-identical to
+    live generation and strictly faster on reuse.  ``--no-stream-cache``
+    keeps the session but disables the on-disk store, so nothing
+    persists (the farm's ``--no-cache`` governs the independent *result*
+    cache).
+    """
+    from repro import streams
+    from repro.streams.store import DEFAULT_STORE_DIR
+
+    store = streams.StreamStore(
+        args.stream_dir or DEFAULT_STORE_DIR, enabled=not args.no_stream_cache
+    )
+    with ExitStack() as stack:
+        scope = _Scope(streams.activate(streams.StreamSession(store=store)))
+        stack.callback(streams.deactivate)
+        if _telemetry_wanted(args):
+            scope.telemetry = telemetry.activate(
+                telemetry.TelemetrySession(
+                    trace_capacity=args.trace_capacity, profile=args.profile
+                )
+            )
+            stack.callback(telemetry.deactivate)
+        if fault_plan is not None:
+            from repro import faults
+
+            scope.faults = faults.activate(fault_plan)
+            stack.callback(faults.deactivate)
+        yield scope
+
+
+def _export_telemetry(
     args: argparse.Namespace,
-    session,
+    scope: _Scope,
     manifests: Sequence[telemetry.RunManifest],
 ) -> None:
-    """Deactivate and export: trace, metrics snapshot, manifest records."""
-    if session is None:
+    """Write the metrics snapshot, the timeline and the manifest records."""
+    if scope.telemetry is None:
         return
-    telemetry.deactivate()
-    session.finalize()
     if args.metrics_out:
         _write_or_print(
             args.metrics_out,
-            json.dumps(session.metrics.snapshot(), indent=2, sort_keys=True),
+            json.dumps(scope.snapshot(), indent=2, sort_keys=True),
         )
     if args.trace_out:
-        # events + master span lane + one lane per farm worker
         _write_or_print(
-            args.trace_out, json.dumps(telemetry.merged_chrome_trace(session))
+            args.trace_out,
+            json.dumps(telemetry.merged_chrome_trace(scope.telemetry)),
         )
     if args.no_manifest:
         return
@@ -700,37 +749,6 @@ def _finish_telemetry(
             print(json.dumps(manifest.record(), sort_keys=True))
         else:
             telemetry.write_manifest(manifest, args.manifest_out)
-
-
-def _begin_streams(args: argparse.Namespace):
-    """Activate the process-wide stream session for a simulation command.
-
-    On by default: compiled streams are bit-identical to live generation
-    and strictly faster on reuse.  ``--no-stream-cache`` keeps the
-    session but disables the on-disk store, so nothing persists (and
-    composes cleanly with the farm's ``--no-cache``, which governs the
-    *result* cache — the two stores are independent).
-    """
-    from repro.streams import StreamSession, StreamStore
-    from repro.streams import activate as activate_streams
-    from repro.streams.store import DEFAULT_STORE_DIR
-
-    directory = args.stream_dir or DEFAULT_STORE_DIR
-    return activate_streams(
-        StreamSession(
-            store=StreamStore(directory, enabled=not args.no_stream_cache)
-        )
-    )
-
-
-def _finish_streams(session, telemetry_session) -> None:
-    if session is None:
-        return
-    from repro.streams import deactivate as deactivate_streams
-
-    if telemetry_session is not None:
-        session.publish_metrics(telemetry_session.metrics)
-    deactivate_streams()
 
 
 def _load_fault_plan(args: argparse.Namespace):
@@ -793,36 +811,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         simulate=args.simulate,
         include_data_refs=args.structure == "tlb",
     )
-    fault_plan = _load_fault_plan(args)
-    session = _begin_telemetry(args)
-    stream_session = _begin_streams(args)
-    started = time.perf_counter()
-    fault_session = None
-    try:
-        if fault_plan is not None:
-            from repro.faults import activate as activate_faults
-
-            fault_session = activate_faults(fault_plan)
+    with _sessions(args, _load_fault_plan(args)) as scope:
+        started = time.perf_counter()
         report = run_trap_driven(spec, config, options)
-    except BaseException:
-        if session is not None:
-            telemetry.deactivate()
-        _finish_streams(stream_session, None)
-        raise
-    finally:
-        if fault_session is not None:
-            from repro.faults import deactivate as deactivate_faults
-
-            deactivate_faults()
-    _finish_streams(stream_session, session)
+        elapsed = time.perf_counter() - started
     manifest = telemetry.RunManifest(
         kind="run",
         name=report.workload,
         configuration=report.configuration,
         config_hash=telemetry.config_hash(config),
         seed=args.seed,
-        wall_clock_secs=time.perf_counter() - started,
-        metrics=session.metrics.snapshot() if session is not None else {},
+        wall_clock_secs=elapsed,
+        metrics=scope.snapshot(),
         results={
             "misses": report.stats.total_misses,
             "estimated_misses": report.estimated_misses,
@@ -846,9 +846,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     print(f"slowdown      : {report.slowdown:.2f}x")
     print(f"paper scale   : {report.misses_paper_scale() / 1e6:.2f}M misses")
-    if fault_session is not None:
-        _print_fault_summary(fault_session)
-    _finish_telemetry(args, session, [manifest])
+    if scope.faults is not None:
+        _print_fault_summary(scope.faults)
+    _export_telemetry(args, scope, [manifest])
     return 0
 
 
@@ -882,13 +882,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         line_bytes=args.line_bytes,
         associativity=args.associativity,
     )
-    stream_session = _begin_streams(args)
-    try:
+    with _sessions(args):
         report = run_trace_driven(
             spec, config, args.refs, sampling=args.sampling
         )
-    finally:
-        _finish_streams(stream_session, None)
     print(f"workload      : {report.workload}")
     print(f"configuration : {report.configuration}")
     print(f"refs traced   : {report.refs_traced:,}")
@@ -930,7 +927,7 @@ def _reproduce_one(
     return None
 
 
-def _build_farm(args: argparse.Namespace, fault_plan=None, stream_session=None):
+def _build_farm(args: argparse.Namespace, fault_plan, stream_session):
     if args.jobs is None:
         return None
     from repro.farm import Farm, FarmConfig
@@ -940,15 +937,12 @@ def _build_farm(args: argparse.Namespace, fault_plan=None, stream_session=None):
         from repro.faults.infra import WorkerFaults
 
         worker_faults = WorkerFaults.from_plan(fault_plan)
-    stream_transport = None
-    if stream_session is not None:
-        stream_transport = stream_session.transport()
     return Farm(
         FarmConfig(
             max_workers=args.jobs,
             use_cache=not args.no_cache,
             worker_faults=worker_faults,
-            stream_transport=stream_transport,
+            stream_transport=stream_session.transport(),
         )
     )
 
@@ -969,17 +963,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             "interval_refs": args.interval_refs,
             "max_phases": args.max_phases,
         }
-    stream_session = _begin_streams(args)
-    farm = _build_farm(args, fault_plan, stream_session)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    session = _begin_telemetry(args)
-    fault_session = None
-    if fault_plan is not None:
-        from repro.faults import activate as activate_faults
-
-        fault_session = activate_faults(fault_plan)
     manifests = []
-    try:
+    with _sessions(args, fault_plan) as scope:
+        farm = _build_farm(args, fault_plan, scope.streams)
         for name in names:
             started = time.perf_counter()
             estimates = _reproduce_one(name, args.budget, farm, sample)
@@ -994,8 +981,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                 results["sample_mode"] = "sampled"
             if farm is not None and farm.last_run is not None:
                 results["farm"] = farm.last_run.summary()
-            if stream_session is not None and session is not None:
-                stream_session.publish_metrics(session.metrics)
             manifests.append(
                 telemetry.RunManifest(
                     kind="experiment",
@@ -1007,32 +992,17 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                     ),
                     seed=0,
                     wall_clock_secs=time.perf_counter() - started,
-                    metrics=(
-                        session.metrics.snapshot()
-                        if session is not None
-                        else {}
-                    ),
+                    metrics=scope.snapshot(),
                     results=results,
                     estimates=estimates,
                 )
             )
-    except BaseException:
-        if session is not None:
-            telemetry.deactivate()
-        _finish_streams(stream_session, None)
-        raise
-    finally:
-        if fault_session is not None:
-            from repro.faults import deactivate as deactivate_faults
-
-            deactivate_faults()
-    _finish_streams(stream_session, session)
     if farm is not None and farm.metrics.jobs:
         print(f"farm ({farm.config.max_workers} workers)")
         print(farm.metrics.render())
-    if fault_session is not None and fault_session.runs:
-        _print_fault_summary(fault_session)
-    _finish_telemetry(args, session, manifests)
+    if scope.faults is not None and scope.faults.runs:
+        _print_fault_summary(scope.faults)
+    _export_telemetry(args, scope, manifests)
     return 0
 
 
@@ -1289,30 +1259,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     total_refs = (
         args.refs if args.refs is not None else BUDGET_REFS[args.budget]
     )
-    stream_session = _begin_streams(args)
-    session = _begin_telemetry(args)
-    started = time.perf_counter()
-    try:
+    with _sessions(args) as scope:
+        started = time.perf_counter()
         farm = Farm(
             FarmConfig(
                 max_workers=max(1, args.jobs),
                 use_cache=not args.no_cache,
-                stream_transport=(
-                    stream_session.transport() if stream_session else None
-                ),
+                stream_transport=scope.streams.transport(),
             )
         )
         job = grid_job(args.workload, total_refs, grid, seed=args.seed)
         payload = farm.run_jobs([job])[0]
-    except BaseException:
-        if session is not None:
-            telemetry.deactivate()
-        _finish_streams(stream_session, None)
-        raise
-    elapsed = time.perf_counter() - started
-    if stream_session is not None and session is not None:
-        stream_session.publish_metrics(session.metrics)
-    _finish_streams(stream_session, session)
+        elapsed = time.perf_counter() - started
 
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -1365,7 +1323,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
         wall_clock_secs=elapsed,
-        metrics=session.metrics.snapshot() if session is not None else {},
+        metrics=scope.snapshot(),
         results={
             "workload": args.workload,
             "refs": payload["refs"],
@@ -1379,7 +1337,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ),
         },
     )
-    _finish_telemetry(args, session, [manifest])
+    _export_telemetry(args, scope, [manifest])
     return 0
 
 
@@ -1391,8 +1349,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
     total_refs, interval_refs = _sample_geometry(args)
     spec = get_workload(args.workload)
-    stream_session = _begin_streams(args)
-    try:
+    with _sessions(args):
         profile = profile_workload(spec, total_refs, interval_refs)
         if args.sample_command == "profile":
             if args.json:
@@ -1456,8 +1413,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             ),
         ))
         return 0
-    finally:
-        _finish_streams(stream_session, None)
 
 
 def _cmd_sample_stats(args: argparse.Namespace) -> int:

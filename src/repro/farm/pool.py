@@ -148,7 +148,6 @@ class Farm:
         #: label journaled batches carry (set by the service per ticket)
         self.batch_label = ""
         self.client_id = ""
-        self._batch_started = 0.0
         self._telemetry_drop_logged = False
         self._epochs: dict[int, int] = {}
         self._poisoned: dict[str, dict[str, Any]] = {}
@@ -167,7 +166,6 @@ class Farm:
             self.journal.tally() if self.journal is not None else (0, 0)
         )
         start = time.perf_counter()
-        self._batch_started = start
         session = _telemetry()
 
         batch_span = (
@@ -203,11 +201,8 @@ class Farm:
                     if self.journal is not None:
                         self.journal.reconcile(key)
                     if session is not None:
-                        session.trace.farm_job(
-                            "cache_hit",
-                            ts_secs=time.perf_counter() - start,
-                            measure=job.measure,
-                            seed=job.seed,
+                        session.spans.farm_event(
+                            "cache_hit", measure=job.measure, seed=job.seed
                         )
                 else:
                     pending[index] = job
@@ -271,13 +266,8 @@ class Farm:
         run.record_execution(elapsed)
         session = _telemetry()
         if session is not None:
-            completed = time.perf_counter() - self._batch_started
-            session.trace.farm_job(
-                "job",
-                ts_secs=max(0.0, completed - elapsed),
-                dur_secs=elapsed,
-                measure=job.measure,
-                seed=job.seed,
+            session.spans.farm_event(
+                "job", dur_secs=elapsed, measure=job.measure, seed=job.seed
             )
         with _span(
             "farm.cache_write", job_key=key[:12], measure=job.measure
@@ -378,7 +368,7 @@ class Farm:
             timed_execute, job.measure, dict(job.params), job.seed
         )
 
-    def _absorb_envelope(self, envelope: Any, elapsed: float) -> None:
+    def _absorb_envelope(self, envelope: Any) -> None:
         """Fold one worker's telemetry envelope into the master session.
 
         An envelope the master cannot merge is a bug somewhere — fail
@@ -388,10 +378,8 @@ class Farm:
         session = _telemetry()
         if session is None or envelope is None:
             return
-        completed = time.perf_counter() - self._batch_started
-        shift_us = max(0.0, completed - elapsed) * 1e6
         try:
-            session.absorb_worker_envelope(envelope, shift_us=shift_us)
+            session.absorb_worker_envelope(envelope)
         except TelemetryError as exc:
             session.metrics.counter("farm.telemetry_dropped").inc()
             if not self._telemetry_drop_logged:
@@ -436,11 +424,7 @@ class Farm:
         run.fallback_serial = True
         session = _telemetry()
         if session is not None:
-            session.trace.farm_job(
-                "breaker_open",
-                ts_secs=time.perf_counter() - self._batch_started,
-                pending=len(pending),
-            )
+            session.spans.farm_event("breaker_open", pending=len(pending))
         self._run_serial(pending, keys, results, run)
 
     def _run_pool(
@@ -490,7 +474,7 @@ class Farm:
                         results, run,
                     )
                     if len(result) > 2:
-                        self._absorb_envelope(result[2], elapsed)
+                        self._absorb_envelope(result[2])
                     del pending[index]
                     progressed = True
                 pool.shutdown(wait=True)
@@ -511,9 +495,8 @@ class Farm:
                     )
                 session = _telemetry()
                 if session is not None:
-                    session.trace.farm_job(
+                    session.spans.farm_event(
                         "retry",
-                        ts_secs=time.perf_counter() - self._batch_started,
                         attempt=attempts,
                         backoff_secs=delay,
                         pending=len(pending),
@@ -574,9 +557,8 @@ class Farm:
                 del pending[culprit]
                 session = _telemetry()
                 if session is not None:
-                    session.trace.farm_job(
+                    session.spans.farm_event(
                         "poisoned",
-                        ts_secs=time.perf_counter() - self._batch_started,
                         job_key=keys[culprit][:12],
                         strikes=len(reason["strikes"]),
                     )

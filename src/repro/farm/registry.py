@@ -91,9 +91,10 @@ def timed_execute(
     return value, time.perf_counter() - start
 
 
-#: worker-side trace ring capacity; trap-level events are not shipped
-#: home (only spans and metrics are), so a small ring bounds memory
-_WORKER_TRACE_CAPACITY = 1_024
+#: worker-side timeline capacity per clock: a job ships at most this
+#: many wall-clock spans home (its simulated-clock records never leave
+#: the worker)
+_WORKER_CAPACITY = 8_192
 
 
 def instrumented_execute(
@@ -110,8 +111,8 @@ def instrumented_execute(
     ``fork`` from the master — see
     :func:`repro.telemetry.session.drop_inherited`), runs the measure
     exactly as :func:`timed_execute` / ``transported_execute`` would,
-    then exports the session's spans and metrics into a picklable
-    envelope that rides home on the job result:
+    then exports the session's wall-clock spans and metrics into a
+    picklable envelope that rides home on the job result:
 
         ``(value, elapsed_secs, envelope)``
 
@@ -125,6 +126,7 @@ def instrumented_execute(
 
     from repro.telemetry import session as telemetry_session
     from repro.telemetry.aggregate import export_metrics
+    from repro.telemetry.spans import WALL_CLOCK
 
     run_id = str(ctx.get("run_id", ""))
     job_key = str(ctx.get("job_key", ""))
@@ -132,7 +134,7 @@ def instrumented_execute(
         telemetry_session.drop_inherited()
     job_session = telemetry_session.activate(
         telemetry_session.TelemetrySession(
-            trace_capacity=_WORKER_TRACE_CAPACITY,
+            trace_capacity=_WORKER_CAPACITY,
             profile=bool(ctx.get("profile", False)),
             run_id=run_id or None,
         )
@@ -161,7 +163,7 @@ def instrumented_execute(
         "run_id": run_id,
         "job_key": job_key,
         "spans": job_session.spans.to_dicts(),
-        "spans_dropped": job_session.spans.dropped,
+        "dropped": job_session.spans.drops[WALL_CLOCK],
         "metrics": export_metrics(job_session.metrics),
     }
     return value, elapsed, envelope

@@ -162,7 +162,7 @@ class CPU:
         if ticks:
             session = _telemetry()
             if session is not None:
-                session.trace.clock_ticks(machine.clock.now, ticks)
+                session.spans.clock_ticks(machine.clock.now, ticks)
         if ticks and not self._in_tick and machine.tick_handler is not None:
             self._in_tick = True
             try:

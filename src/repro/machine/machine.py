@@ -91,7 +91,7 @@ class Machine:
         self.dispatcher.counts[TrapKind.PAGE_FAULT] += 1
         session = _telemetry()
         if session is not None:
-            session.trace.page_fault(
+            session.spans.page_fault(
                 self.clock.now, ctx.component, ctx.tid, vpn
             )
         if self.page_fault_handler is None:

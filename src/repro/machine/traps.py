@@ -169,7 +169,7 @@ class TrapDispatcher:
                     segment.kind, segment.tid, segment.component,
                     va, pa, segment.cycle,
                 )
-                session.trace.trap(frame, batch.cycles_each)
+                session.spans.trap(frame, batch.cycles_each)
         return batch
 
     def installed(self, kind: TrapKind) -> bool:
@@ -182,7 +182,7 @@ class TrapDispatcher:
         cycles = 0 if handler is None else handler(frame)
         session = _telemetry()
         if session is not None:
-            session.trace.trap(frame, cycles)
+            session.spans.trap(frame, cycles)
         return cycles
 
     def publish_metrics(self, metrics) -> None:

@@ -7,11 +7,11 @@ package is the software analogue for the whole reproduction stack:
 * :mod:`~repro.telemetry.registry` — a metrics registry (``Counter``,
   ``Gauge``, fixed-bucket ``Histogram``) that the machine, kernel,
   Tapeworm and farm publish into under stable dotted names;
-* :mod:`~repro.telemetry.events` — a bounded ring buffer of trap-level
-  events, exportable as Chrome ``trace_event`` JSON for Perfetto;
-* :mod:`~repro.telemetry.spans` — causally linked timed regions with
-  parent/child ids and run-id correlation, mergeable across the farm's
-  process boundary into one Chrome trace with per-worker lanes;
+* :mod:`~repro.telemetry.spans` — the one timeline recorder: trap
+  deliveries, page faults and clock ticks on the simulated clock, and
+  causally linked wall-clock spans (farm batches, jobs, profile phases,
+  the spans farm workers ship home) under one bound and one drop
+  counter, exported as one Chrome ``trace_event`` file for Perfetto;
 * :mod:`~repro.telemetry.aggregate` — the mergeable metrics snapshot
   format (counters sum, gauges last-write-wins, histograms bucket-wise
   exact add) that carries worker registries home per job;
@@ -26,13 +26,6 @@ bit-identical with telemetry enabled or disabled.  Instrumentation
 observes; it never participates.
 """
 
-from repro.telemetry.events import (
-    DEFAULT_TRACE_CAPACITY,
-    FARM_PID,
-    MACHINE_PID,
-    EventTracer,
-    TraceEvent,
-)
 from repro.telemetry.manifest import (
     DEFAULT_MANIFEST_PATH,
     MANIFEST_SCHEMA_VERSION,
@@ -75,7 +68,9 @@ from repro.telemetry.session import (
     enabled,
 )
 from repro.telemetry.spans import (
-    DEFAULT_SPAN_CAPACITY,
+    DEFAULT_TRACE_CAPACITY,
+    FARM_PID,
+    MACHINE_PID,
     WORKER_PID,
     Span,
     SpanRecorder,
@@ -96,11 +91,6 @@ __all__ = [
     "metric_key",
     "TIME_BUCKET_SECS",
     "CYCLE_BUCKETS",
-    "EventTracer",
-    "TraceEvent",
-    "DEFAULT_TRACE_CAPACITY",
-    "MACHINE_PID",
-    "FARM_PID",
     "RunManifest",
     "config_hash",
     "git_version",
@@ -117,7 +107,9 @@ __all__ = [
     "enabled",
     "Span",
     "SpanRecorder",
-    "DEFAULT_SPAN_CAPACITY",
+    "DEFAULT_TRACE_CAPACITY",
+    "MACHINE_PID",
+    "FARM_PID",
     "WORKER_PID",
     "chrome_span_events",
     "merge_chrome_traces",

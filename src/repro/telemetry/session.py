@@ -5,7 +5,7 @@ farm all read one module-level slot::
 
     session = active()
     if session is not None:
-        session.trace.trap(frame, cycles)
+        session.spans.trap(frame, cycles)
 
 With no session activated (the default, and the state every test and
 benchmark runs in unless it opts in) that is a single global load and a
@@ -13,7 +13,7 @@ benchmark runs in unless it opts in) that is a single global load and a
 telemetry state, so results are bit-identical with telemetry on or off.
 ``tests/telemetry/test_unobtrusive.py`` pins that property.
 
-Sessions are per-process.  Farm *workers* now get a short-lived private
+Sessions are per-process.  Farm *workers* get a short-lived private
 session per job (see :func:`repro.farm.registry.instrumented_execute`)
 whose spans and metrics travel home in the job-result envelope; the
 master absorbs them via :meth:`TelemetrySession.absorb_worker_envelope`
@@ -27,11 +27,9 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
 from repro.errors import TelemetryError
-from repro.telemetry.events import DEFAULT_TRACE_CAPACITY, EventTracer
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import (
-    DEFAULT_SPAN_CAPACITY,
-    Span,
+    DEFAULT_TRACE_CAPACITY,
     SpanRecorder,
     new_run_id,
     spans_from_dicts,
@@ -39,38 +37,32 @@ from repro.telemetry.spans import (
 
 
 class TelemetrySession:
-    """One run's worth of observability state: metrics + events + spans.
+    """One run's worth of observability state: metrics + one timeline.
 
+    ``trace_capacity`` bounds the timeline recorder per clock.
     ``profile`` switches the opt-in phase timers on
     (:mod:`repro.telemetry.profile`); it defaults to off so enabling
     telemetry alone never adds timers to kernel hot paths.
-    ``worker_spans`` maps worker pid → list of ``(shift_us, spans)``
-    lanes absorbed from job-result envelopes.
     """
 
     def __init__(
         self,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
-        span_capacity: int = DEFAULT_SPAN_CAPACITY,
         profile: bool = False,
         run_id: str | None = None,
     ) -> None:
         self.metrics = MetricsRegistry()
-        self.trace = EventTracer(trace_capacity)
-        self.spans = SpanRecorder(span_capacity)
+        self.spans = SpanRecorder(trace_capacity)
         self.profile = profile
         self.run_id = run_id or new_run_id()
-        self.worker_spans: dict[int, list[tuple[float, list[Span]]]] = {}
-        self._finalized = False
+        self._dropped_published = 0
 
-    def absorb_worker_envelope(
-        self, envelope: Mapping[str, Any], shift_us: float = 0.0
-    ) -> None:
+    def absorb_worker_envelope(self, envelope: Mapping[str, Any]) -> None:
         """Fold one worker's job-result telemetry into this session.
 
         Metrics land under ``farm.worker.*`` (cardinality-capped, drops
-        counted); spans are filed as a lane for the worker's pid,
-        shifted by ``shift_us`` onto this session's timeline.  Raises
+        counted); spans land on the worker's lane of this session's
+        timeline (:meth:`SpanRecorder.absorb`).  Raises
         :class:`~repro.errors.TelemetryError` on envelopes this code
         cannot merge — the farm decides how loudly to fail.
         """
@@ -81,18 +73,14 @@ class TelemetrySession:
                 f"unrecognized worker telemetry envelope: {envelope!r}"
             )
         started = time.perf_counter()
-        worker = int(envelope.get("worker_pid", 0))
         merged, overflow = fold_into(self.metrics, envelope["metrics"])
         if overflow:
             self.metrics.counter("farm.telemetry.series_dropped").inc(overflow)
-        spans = spans_from_dicts(envelope.get("spans", ()))
-        if spans:
-            self.worker_spans.setdefault(worker, []).append((shift_us, spans))
-        dropped_spans = int(envelope.get("spans_dropped", 0))
-        if dropped_spans:
-            self.metrics.counter("farm.telemetry.spans_dropped").inc(
-                dropped_spans
-            )
+        self.spans.absorb(
+            spans_from_dicts(envelope.get("spans", ())),
+            worker=int(envelope.get("worker_pid", 0)),
+            dropped=int(envelope.get("dropped", 0)),
+        )
         # the aggregation layer observes itself: how many envelopes,
         # how much wall-clock the folding cost the master
         self.metrics.counter("farm.telemetry.envelopes").inc()
@@ -101,23 +89,20 @@ class TelemetrySession:
             time.perf_counter() - started
         )
 
-    def finalize(self) -> None:
-        """Stamp self-describing loss counters before export (idempotent).
+    def snapshot(self) -> dict[str, Any]:
+        """The metrics snapshot, timeline drops included.
 
-        A truncated trace or span set should say so in the report, not
-        just in the export metadata.
+        The recorder's drops since the last call are published into the
+        ``telemetry.dropped`` counter first, so every snapshot — each
+        manifest's, the ``--metrics-out`` file's — says how much of the
+        timeline was lost, and calling it again never double-counts.
         """
-        if self._finalized:
-            return
-        self._finalized = True
-        if self.trace.dropped:
-            self.metrics.counter("telemetry.trace.dropped").inc(
-                self.trace.dropped
-            )
-        if self.spans.dropped:
-            self.metrics.counter("telemetry.spans.dropped").inc(
-                self.spans.dropped
-            )
+        dropped = self.spans.dropped
+        self.metrics.counter("telemetry.dropped").inc(
+            dropped - self._dropped_published
+        )
+        self._dropped_published = dropped
+        return self.metrics.snapshot()
 
 
 _active: TelemetrySession | None = None

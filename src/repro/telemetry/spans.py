@@ -1,45 +1,69 @@
-"""Span tracing: causally linked timed regions, across process lines.
+"""The timeline recorder: one bounded store of timed records, two clocks.
 
-The event tracer (:mod:`repro.telemetry.events`) answers "what happened
-when"; spans answer "what contained what, and where did the time go" —
-the scheduler→submit→worker→measure→result→cache-write chain of one
-farmed run becomes a tree of :class:`Span` records, each carrying a
-monotonic-clock start/duration, a parent id, and the run-id/job-key
-correlation args that let the master's lanes line up with each worker's.
+Every timeline record of a run is a :class:`Span` in one
+:class:`SpanRecorder`, and each carries its clock and display lane.
+``sim`` records — trap deliveries, page faults, clock ticks — are
+stamped in simulated microseconds of the 25 MHz DECstation; ``wall``
+records — nested spans, the farm's job lifecycle, the spans farm
+workers ship home — in wall-clock microseconds since the recorder was
+created.  A slot is claimed when a record is *entered*, so past the
+bound the latest, deepest records drop and the roots of the span tree
+survive.  The bound applies to each clock separately, so a trap storm
+cannot crowd out the spans around it, and every refusal counts in one
+``dropped`` total.
 
-Workers serialize their spans (:meth:`SpanRecorder.to_dicts`) into the
-job-result envelope; the master re-hydrates them
-(:func:`spans_from_dicts`), shifts them onto its own batch timeline and
-files them per worker pid, so :func:`merged_chrome_trace` renders one
-Chrome ``trace_event`` file in which every worker appears as its own
-lane (tid) under a "farm workers" process — a whole distributed run in
-one Perfetto view.
-
-Like every telemetry layer here, spans are observational: the recorder
-is bounded (opening a span past capacity records nothing and counts the
-drop), and nothing in the simulation ever reads a span.
+Workers serialize their wall-clock spans (:meth:`SpanRecorder.to_dicts`)
+into the job-result envelope; :meth:`SpanRecorder.absorb` files them on
+one lane per worker, renumbered from the master's ids and shifted onto
+its clock.  :func:`merged_chrome_trace` renders the whole timeline as
+one Chrome ``trace_event`` file.  Nothing in the simulation ever reads
+a record.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
+from repro._types import HOST_CLOCK_HZ
 from repro.errors import TelemetryError
-from repro.telemetry.events import FARM_PID, MACHINE_PID
 
-#: Chrome-trace process id for the merged per-worker lanes
+#: record clocks: simulated microseconds, or wall-clock microseconds
+#: since the recorder was created
+SIM_CLOCK = "sim"
+WALL_CLOCK = "wall"
+
+#: simulated cycles per simulated microsecond (25 MHz host)
+CYCLES_PER_US = HOST_CLOCK_HZ / 1_000_000
+
+#: default bound per clock; at ~250 cycles per trap this covers runs of
+#: tens of millions of references
+DEFAULT_TRACE_CAPACITY = 65_536
+
+#: Chrome-trace process ids: simulated machine, farm master, farm workers
+MACHINE_PID = 1
+FARM_PID = 2
 WORKER_PID = 3
 
-#: default recorder capacity; spans are per-region (chunks, jobs,
-#: phases), not per-reference, so this covers very large batches
-DEFAULT_SPAN_CAPACITY = 8_192
+#: lane of the recorder's own nested spans
+SPAN_LANE = "master spans"
+#: lane of the farm's job lifecycle records
+JOBS_LANE = "jobs"
+#: prefix of the one lane each farm worker's absorbed spans land on
+WORKER_LANE = "worker "
 
-#: tid of the master's own span lane under the farm process
-_MASTER_SPAN_TID = 1_000
+_PROCESS_NAMES = {
+    MACHINE_PID: "simulated machine",
+    FARM_PID: "execution farm",
+    WORKER_PID: "farm workers",
+}
+
+#: Chrome category of the simulated-clock records that are not traps
+_SIM_CATEGORIES = {"page_fault": "fault", "clock_tick": "clock"}
 
 
 def new_run_id() -> str:
@@ -49,7 +73,7 @@ def new_run_id() -> str:
 
 @dataclass
 class Span:
-    """One timed region.  ``dur_us`` is filled when the region closes."""
+    """One timed record.  A region's ``dur_us`` is filled when it closes."""
 
     name: str
     span_id: int
@@ -57,6 +81,8 @@ class Span:
     start_us: float
     dur_us: float = 0.0
     args: dict[str, Any] | None = None
+    clock: str = WALL_CLOCK
+    lane: str = SPAN_LANE
 
     def to_dict(self) -> dict[str, Any]:
         record: dict[str, Any] = {
@@ -91,60 +117,178 @@ def spans_from_dicts(records: Sequence[Mapping[str, Any]]) -> list[Span]:
 
 
 class SpanRecorder:
-    """Bounded in-order store of spans with an implicit parent stack.
+    """Bounded in-order store of timeline records, per-clock capacity.
 
     Spans nest lexically: :meth:`span` pushes itself as the parent of
-    anything opened inside it.  Slots are claimed on *entry*, so when
-    the bound is hit it is the latest, deepest spans that drop — the
-    roots of the tree (batch, job) always survive.
+    anything opened inside it.  Slots are claimed on *entry*, so when a
+    clock's bound is hit it is the latest, deepest records that drop.
     """
 
-    def __init__(self, capacity: int = DEFAULT_SPAN_CAPACITY) -> None:
+    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity <= 0:
             raise TelemetryError(
-                f"span capacity must be positive, got {capacity}"
+                f"trace capacity must be positive, got {capacity}"
             )
         self.capacity = capacity
+        #: retained records of both clocks, in the order they were entered
         self.spans: list[Span] = []
-        self.dropped = 0
+        #: records refused by the bound, per clock
+        self.drops = {SIM_CLOCK: 0, WALL_CLOCK: 0}
+        self._free = {SIM_CLOCK: capacity, WALL_CLOCK: capacity}
         self._stack: list[int] = []
-        self._next_id = 1
+        self._ids = itertools.count(1)
         self._epoch = time.perf_counter()
 
     def __len__(self) -> int:
         return len(self.spans)
 
+    @property
+    def dropped(self) -> int:
+        """Records lost to the bound, both clocks."""
+        return self.drops[SIM_CLOCK] + self.drops[WALL_CLOCK]
+
     def now_us(self) -> float:
         """Microseconds since this recorder was created (monotonic)."""
         return (time.perf_counter() - self._epoch) * 1e6
 
+    def records(self, clock: str) -> list[Span]:
+        """Retained records on one clock, in the order they were entered."""
+        return [record for record in self.spans if record.clock == clock]
+
+    def _claim(self, clock: str) -> int | None:
+        """A fresh id if ``clock`` has a free slot; else count the drop."""
+        if not self._free[clock]:
+            self.drops[clock] += 1
+            return None
+        self._free[clock] -= 1
+        return next(self._ids)
+
     @contextmanager
     def span(self, name: str, **args: Any) -> Iterator[Span | None]:
-        """Open a timed region; yields the span (None past capacity)."""
-        if len(self.spans) >= self.capacity:
-            self.dropped += 1
+        """Open a wall-clock region; yields the span (None past capacity)."""
+        span_id = self._claim(WALL_CLOCK)
+        if span_id is None:
             yield None
             return
         record = Span(
             name=name,
-            span_id=self._next_id,
+            span_id=span_id,
             parent_id=self._stack[-1] if self._stack else None,
             start_us=self.now_us(),
             args=dict(args) if args else None,
         )
-        self._next_id += 1
         self.spans.append(record)
-        self._stack.append(record.span_id)
-        start = time.perf_counter()
+        self._stack.append(span_id)
         try:
             yield record
         finally:
-            record.dur_us = (time.perf_counter() - start) * 1e6
+            record.dur_us = self.now_us() - record.start_us
             self._stack.pop()
 
+    def record(
+        self,
+        name: str,
+        start_us: float,
+        dur_us: float = 0.0,
+        *,
+        clock: str = WALL_CLOCK,
+        lane: str = SPAN_LANE,
+        args: dict[str, Any] | None = None,
+    ) -> Span | None:
+        """File one already-timed, unnested record (None past capacity)."""
+        span_id = self._claim(clock)
+        if span_id is None:
+            return None
+        record = Span(name, span_id, None, start_us, dur_us, args, clock, lane)
+        self.spans.append(record)
+        return record
+
+    # ------------------------------------------------------------------
+    # emitters for the standard instrumentation points
+    # ------------------------------------------------------------------
+
+    def trap(self, frame, handler_cycles: int) -> None:
+        """One kernel trap delivery (called by the trap dispatcher)."""
+        self.record(
+            frame.kind.value,
+            frame.cycle / CYCLES_PER_US,
+            handler_cycles / CYCLES_PER_US,
+            clock=SIM_CLOCK,
+            lane=frame.component.value,
+            args={
+                "tid": frame.tid,
+                "va": frame.va,
+                "pa": frame.pa,
+                "cycle": frame.cycle,
+                "handler_cycles": handler_cycles,
+            },
+        )
+
+    def page_fault(self, cycle: int, component, tid: int, vpn: int) -> None:
+        self.record(
+            "page_fault",
+            cycle / CYCLES_PER_US,
+            clock=SIM_CLOCK,
+            lane=component.value,
+            args={"tid": tid, "vpn": vpn, "cycle": cycle},
+        )
+
+    def clock_ticks(self, cycle: int, ticks: int) -> None:
+        self.record(
+            "clock_tick",
+            cycle / CYCLES_PER_US,
+            clock=SIM_CLOCK,
+            lane="clock",
+            args={"ticks": ticks, "cycle": cycle},
+        )
+
+    def farm_event(self, kind: str, dur_secs: float = 0.0, **args: Any) -> None:
+        """One farm job lifecycle record ("job", "cache_hit", "retry",
+        ...) on the jobs lane, ending now."""
+        dur_us = dur_secs * 1e6
+        self.record(
+            kind, self.now_us() - dur_us, dur_us, lane=JOBS_LANE, args=args or None
+        )
+
+    # ------------------------------------------------------------------
+    # crossing the farm's process boundary
+    # ------------------------------------------------------------------
+
     def to_dicts(self) -> list[dict[str, Any]]:
-        """Serialized spans, ready for the worker result envelope."""
-        return [record.to_dict() for record in self.spans]
+        """Serialized wall-clock spans, ready for the worker result
+        envelope; simulated-clock records never leave the process."""
+        return [record.to_dict() for record in self.records(WALL_CLOCK)]
+
+    def absorb(self, spans: Sequence[Span], worker: int, dropped: int = 0) -> None:
+        """File one worker job's spans on that worker's lane.
+
+        The spans are shifted so the last of them ends now (the worker
+        finished before its result reached the master), renumbered from
+        this recorder's id sequence, and bounded by its wall-clock
+        capacity; ``dropped`` is what the worker's own bound refused.
+        """
+        self.drops[WALL_CLOCK] += dropped
+        if not spans:
+            return
+        shift_us = self.now_us() - max(s.start_us + s.dur_us for s in spans)
+        lane = f"{WORKER_LANE}{worker}"
+        ids: dict[int, int] = {}
+        for span_ in spans:
+            span_id = self._claim(WALL_CLOCK)
+            if span_id is None:
+                continue
+            ids[span_.span_id] = span_id
+            self.spans.append(
+                Span(
+                    name=span_.name,
+                    span_id=span_id,
+                    parent_id=ids.get(span_.parent_id),
+                    start_us=span_.start_us + shift_us,
+                    dur_us=span_.dur_us,
+                    args={**(span_.args or {}), "worker": worker},
+                    lane=lane,
+                )
+            )
 
 
 @contextmanager
@@ -198,76 +342,85 @@ def chrome_span_events(
     return events
 
 
+def _placement(record: Span) -> tuple[int, str]:
+    """The Chrome process and category one record renders under."""
+    if record.clock == SIM_CLOCK:
+        return MACHINE_PID, _SIM_CATEGORIES.get(record.name, "trap")
+    if record.lane == JOBS_LANE:
+        return FARM_PID, "farm"
+    if record.lane.startswith(WORKER_LANE):
+        return WORKER_PID, "span"
+    return FARM_PID, "span"
+
+
+def _metadata(kind: str, pid: int, tid: int, name: str) -> dict[str, Any]:
+    """A ``process_name`` / ``thread_name`` metadata event."""
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid,
+            "args": {"name": name}}
+
+
+def _point_event(
+    record: Span, pid: int, tid: int, category: str
+) -> dict[str, Any]:
+    """A machine or farm record: complete ("X") when it has a duration,
+    a thread-scoped instant ("i") otherwise."""
+    event: dict[str, Any] = {
+        "name": record.name,
+        "cat": category,
+        "pid": pid,
+        "tid": tid,
+        "ts": record.start_us,
+    }
+    if record.dur_us > 0:
+        event["ph"] = "X"
+        event["dur"] = record.dur_us
+    else:
+        event["ph"] = "i"
+        event["s"] = "t"
+    if record.args:
+        event["args"] = dict(record.args)
+    return event
+
+
 def merged_chrome_trace(session) -> dict[str, Any]:
-    """One Chrome trace for a whole distributed run.
+    """A session's whole timeline as one Chrome ``trace_event`` object.
 
-    Starts from the event tracer's export (machine + farm lanes), then
-    appends the master's own span lane and one lane (tid) per worker
-    that shipped spans back — so ``reproduce --jobs N --trace-out``
-    shows scheduler, workers and simulated machine side by side.
+    One process for the simulated machine (a lane per component, plus
+    the clock), one for the farm master (the jobs lane and the master's
+    span lane) and one for the farm workers (a lane per worker pid), so
+    ``reproduce --jobs N --trace-out`` shows scheduler, workers and
+    simulated machine side by side.
     """
-    trace = session.trace.chrome_trace()
-    events: list[dict[str, Any]] = trace["traceEvents"]
-
-    if session.spans.spans:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": FARM_PID,
-                "tid": _MASTER_SPAN_TID,
-                "args": {"name": "master spans"},
-            }
-        )
-        events.extend(
-            chrome_span_events(
-                session.spans.spans,
-                pid=FARM_PID,
-                tid=_MASTER_SPAN_TID,
-                run_id=session.run_id,
-            )
-        )
-
-    if session.worker_spans:
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": WORKER_PID,
-                "tid": 0,
-                "args": {"name": "farm workers"},
-            }
-        )
-        for tid, (worker, lanes) in enumerate(
-            sorted(session.worker_spans.items()), start=1
-        ):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": WORKER_PID,
-                    "tid": tid,
-                    "args": {"name": f"worker {worker}"},
-                }
-            )
-            for shift_us, spans_ in lanes:
-                events.extend(
-                    chrome_span_events(
-                        spans_,
-                        pid=WORKER_PID,
-                        tid=tid,
-                        shift_us=shift_us,
-                        run_id=session.run_id,
-                        worker=worker,
-                    )
+    recorder = session.spans
+    events: list[dict[str, Any]] = []
+    lanes: dict[tuple[int, str], int] = {}
+    for record in recorder.spans:
+        pid, category = _placement(record)
+        tid = lanes.get((pid, record.lane))
+        if tid is None:
+            if all(known != pid for known, _ in lanes):
+                events.append(
+                    _metadata("process_name", pid, 0, _PROCESS_NAMES[pid])
                 )
+            tid = lanes[(pid, record.lane)] = len(lanes) + 1
+            events.append(_metadata("thread_name", pid, tid, record.lane))
+        if category == "span":
+            events.extend(
+                chrome_span_events((record,), pid, tid, run_id=session.run_id)
+            )
+        else:
+            events.append(_point_event(record, pid, tid, category))
 
-    other = trace["otherData"]
-    other["run_id"] = session.run_id
-    other["spans"] = len(session.spans)
-    other["spans_dropped"] = session.spans.dropped
-    other["worker_lanes"] = len(session.worker_spans)
-    return trace
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "run_id": session.run_id,
+            "capacity": recorder.capacity,
+            "dropped": recorder.dropped,
+            "worker_lanes": sum(1 for pid, _ in lanes if pid == WORKER_PID),
+        },
+    }
 
 
 def merge_chrome_traces(
@@ -305,8 +458,13 @@ def merge_chrome_traces(
 
 
 __all__ = [
-    "DEFAULT_SPAN_CAPACITY",
+    "CYCLES_PER_US",
+    "DEFAULT_TRACE_CAPACITY",
+    "FARM_PID",
+    "JOBS_LANE",
     "MACHINE_PID",
+    "SIM_CLOCK",
+    "WALL_CLOCK",
     "WORKER_PID",
     "Span",
     "SpanRecorder",

@@ -4,7 +4,8 @@ The farm is the only place telemetry crosses a process boundary, so the
 contracts pinned here are the distributed-observability story end to
 end: a worker's spans and metrics ride home on the job result, the
 master folds them under ``farm.worker.*``, parent/child span links
-survive pickling, and an envelope the master cannot merge fails loudly
+survive pickling, worker spans land on the master's one clock, bound
+and id sequence, and an envelope the master cannot merge fails loudly
 instead of vanishing.
 """
 
@@ -25,7 +26,12 @@ from repro.telemetry.session import (
     active,
     deactivate,
 )
-from repro.telemetry.spans import spans_from_dicts
+from repro.telemetry.spans import (
+    WALL_CLOCK,
+    WORKER_PID,
+    merged_chrome_trace,
+    spans_from_dicts,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -101,19 +107,18 @@ class TestFarmRoundTrip:
         if not self._pool_ran(farm):  # pragma: no cover - restricted env
             pytest.skip("no process pool available")
 
-        assert session.worker_spans, "no worker lanes came home"
-        jobs_seen = 0
-        for lanes in session.worker_spans.values():
-            for shift_us, spans in lanes:
-                assert shift_us >= 0.0
-                by_name = {s.name: s for s in spans}
-                job = by_name["worker.job"]
-                inner = by_name["test.inner"]
-                assert inner.parent_id == job.span_id
-                assert job.args["run_id"] == session.run_id
-                assert job.args["job_key"]
-                jobs_seen += 1
-        assert jobs_seen == 4
+        worker = [
+            s for s in session.spans.spans if s.lane.startswith("worker ")
+        ]
+        assert worker, "no worker lanes came home"
+        jobs = [s for s in worker if s.name == "worker.job"]
+        inner = [s for s in worker if s.name == "test.inner"]
+        assert len(jobs) == len(inner) == 4
+        for job, child in zip(jobs, inner):
+            assert child.parent_id == job.span_id
+            assert child.lane == job.lane
+            assert job.args["run_id"] == session.run_id
+            assert job.args["job_key"]
 
         snapshot = session.metrics.snapshot()
         assert snapshot["farm.telemetry.envelopes"] == 4
@@ -190,19 +195,92 @@ class TestFarmRoundTrip:
         assert active() is None
 
 
+def _inside_a_batch(event, batches) -> bool:
+    end = event["ts"] + event.get("dur", 0.0)
+    return any(
+        batch["ts"] <= event["ts"] and end <= batch["ts"] + batch["dur"]
+        for batch in batches
+    )
+
+
+class TestOneTimeline:
+    """Worker spans and farm records share the master's clock, bound
+    and id sequence."""
+
+    def _timeline(self, session, tmp_path, workers):
+        farm = Farm(FarmConfig(cache_dir=tmp_path, max_workers=workers))
+        activate(session)
+        try:
+            time.sleep(0.05)  # an idle gap before the first batch
+            farm.run_jobs(_jobs("test.spanned", 4))
+            farm.run_jobs(_jobs("test.spanned", 4, base_seed=4))
+        finally:
+            deactivate()
+        return farm, merged_chrome_trace(session)["traceEvents"]
+
+    def test_worker_and_farm_records_lie_inside_their_batch(self, tmp_path):
+        farm, events = self._timeline(TelemetrySession(), tmp_path, 2)
+        if farm.last_run.fallback_serial:  # pragma: no cover - restricted env
+            pytest.skip("no process pool available")
+        batches = [e for e in events if e.get("name") == "farm.batch"]
+        assert len(batches) == 2
+        worker_jobs = [e for e in events if e.get("name") == "worker.job"]
+        farm_records = [e for e in events if e.get("cat") == "farm"]
+        assert len(worker_jobs) == len(farm_records) == 8
+        for event in worker_jobs + farm_records:
+            assert _inside_a_batch(event, batches), event
+
+    def test_serial_farm_records_lie_inside_their_batch(self, tmp_path):
+        _, events = self._timeline(TelemetrySession(), tmp_path, 1)
+        batches = [e for e in events if e.get("name") == "farm.batch"]
+        farm_records = [e for e in events if e.get("cat") == "farm"]
+        assert len(batches) == 2 and len(farm_records) == 8
+        for event in farm_records:
+            assert _inside_a_batch(event, batches), event
+
+    def test_one_bound_and_unique_ids(self, tmp_path):
+        session = TelemetrySession(trace_capacity=16)
+        farm = Farm(FarmConfig(cache_dir=tmp_path, max_workers=2))
+        activate(session)
+        try:
+            farm.run_jobs(_jobs("test.spanned", 40))
+        finally:
+            deactivate()
+        if farm.last_run.fallback_serial:  # pragma: no cover - restricted env
+            pytest.skip("no process pool available")
+        assert farm.last_run.retries == 0
+        # farm.batch and farm.submit, then per job farm.result, the
+        # farm's job record and farm.cache_write, plus the worker's
+        # worker.job and test.inner
+        offered = 2 + 40 * 3 + 40 * 2
+        retained = len(session.spans.records(WALL_CLOCK))
+        assert retained == 16
+        assert session.snapshot()["telemetry.dropped"] == offered - retained
+
+        trace = merged_chrome_trace(session)
+        assert trace["otherData"]["dropped"] == offered - retained
+        spans = [e for e in trace["traceEvents"] if e.get("cat") == "span"]
+        ids = [e["args"]["span_id"] for e in spans]
+        assert len(ids) == len(set(ids))
+        lane_of = {e["args"]["span_id"]: (e["pid"], e["tid"]) for e in spans}
+        for event in spans:
+            parent = event["args"]["parent_id"]
+            if parent is not None:
+                assert lane_of[parent] == (event["pid"], event["tid"])
+        assert any(e["pid"] == WORKER_PID for e in spans)
+
+
 class TestFailLoudly:
     def _farm(self, tmp_path):
-        farm = Farm(FarmConfig(cache_dir=tmp_path, max_workers=2))
-        farm._batch_started = time.perf_counter()
-        return farm
+        return Farm(FarmConfig(cache_dir=tmp_path, max_workers=2))
 
     def test_unmergeable_envelope_counts_and_logs_once(self, tmp_path, caplog):
         session = activate(TelemetrySession())
         try:
             farm = self._farm(tmp_path)
             with caplog.at_level(logging.WARNING, logger="repro.farm.pool"):
-                farm._absorb_envelope({"v": 99, "spans": []}, elapsed=0.0)
-                farm._absorb_envelope({"nonsense": True}, elapsed=0.0)
+                farm._absorb_envelope({"v": 99, "spans": []})
+                farm._absorb_envelope({"nonsense": True})
         finally:
             deactivate()
         assert (
@@ -216,4 +294,4 @@ class TestFailLoudly:
 
     def test_absorb_without_session_is_a_noop(self, tmp_path):
         farm = self._farm(tmp_path)
-        farm._absorb_envelope({"v": 99}, elapsed=0.0)  # must not raise
+        farm._absorb_envelope({"v": 99})  # must not raise

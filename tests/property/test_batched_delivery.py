@@ -8,7 +8,7 @@ batch handler withdrawn, so every trap takes the per-trap path.  The
 two runs must leave the complete simulated state identical — chunk
 results, miss statistics and overhead, dispatcher counts, both ECC
 bitmaps, cache contents and insertion counts, every set/clear counter,
-and the recorded trap events.
+and every simulated-clock timeline record.
 
 The fixed cases build the states the batch must decline (a trap erased
 by unshielded DMA, a spurious trap, a pending true error) and the
@@ -34,6 +34,7 @@ from repro.machine.dma import DMAEngine
 from repro.machine.machine import Machine, MachineConfig
 from repro.machine.traps import TrapKind
 from repro.telemetry.session import enabled
+from repro.telemetry.spans import SIM_CLOCK
 
 #: one sequential run of word references: (vpn, first word, length)
 _RUN = st.tuples(
@@ -180,13 +181,21 @@ class Sim:
         }
 
 
+def _simulated_records(session) -> list[tuple]:
+    """Every simulated-clock timeline record, field by field."""
+    return [
+        (r.name, r.lane, r.start_us, r.dur_us, r.args)
+        for r in session.spans.records(SIM_CLOCK)
+    ]
+
+
 def _play(setup: dict, script: list, batched: bool) -> tuple[dict, dict]:
     with enabled() as session:
         sim = Sim(setup, batched)
         for step in script:
             sim.step(step)
     state = sim.state()
-    state["events"] = [dataclasses.astuple(e) for e in session.trace.events()]
+    state["events"] = _simulated_records(session)
     return state, dict(sim.machine.dispatcher.segments)
 
 
@@ -274,7 +283,7 @@ def _perturb_and_run(perturb, chunks, batched: bool) -> tuple[dict, dict]:
                 outcome = error.diagnostic
                 break
     state = sim.state()
-    state["events"] = [dataclasses.astuple(e) for e in session.trace.events()]
+    state["events"] = _simulated_records(session)
     state["outcome"] = outcome
     after = sim.machine.dispatcher.segments
     delta = {path: after[path] - before[path] for path in after}

@@ -1,18 +1,22 @@
-"""Span tracing: nesting, bounded capacity, serialization, Chrome merge.
+"""The timeline recorder: nesting, the per-clock bound, the machine and
+farm emitters, serialization, worker lanes and the Chrome export.
 
-The span layer is the cross-process half of the observability story:
-workers serialize spans into the job-result envelope and the master
-re-hydrates them into per-worker Chrome lanes.  These tests pin the
-parts that must survive a process boundary — ids, parent links, the
-serialized record layout — and the merge semantics of the trace files.
+The recorder is the one place a timeline is kept: simulated-clock
+records from the machine and wall-clock spans from the master and the
+farm's workers.  These tests pin the parts that must survive a process
+boundary — ids, parent links, the serialized record layout — the bound
+and its one drop counter, and the layout of the exported trace.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro._types import Component
 from repro.errors import TelemetryError
-from repro.telemetry.events import FARM_PID
+from repro.machine.traps import TrapFrame, TrapKind
 from repro.telemetry.session import (
     TelemetrySession,
     activate,
@@ -20,6 +24,12 @@ from repro.telemetry.session import (
     deactivate,
 )
 from repro.telemetry.spans import (
+    CYCLES_PER_US,
+    FARM_PID,
+    JOBS_LANE,
+    MACHINE_PID,
+    SIM_CLOCK,
+    WALL_CLOCK,
     WORKER_PID,
     SpanRecorder,
     chrome_span_events,
@@ -38,6 +48,10 @@ def _no_leaked_session():
     yield
     if active() is not None:  # pragma: no cover - cleanup on test failure
         deactivate()
+
+
+def _sim(recorder: SpanRecorder, i: int) -> None:
+    recorder.record(f"e{i}", float(i), clock=SIM_CLOCK, lane="lane")
 
 
 class TestSpanRecorder:
@@ -105,8 +119,113 @@ class TestSpanRecorder:
         assert record.args == {"job_key": "abc123", "seed": 7}
 
     def test_bad_capacity_rejected(self):
-        with pytest.raises(TelemetryError):
-            SpanRecorder(capacity=0)
+        for capacity in (0, -1):
+            with pytest.raises(TelemetryError):
+                SpanRecorder(capacity=capacity)
+
+
+class TestBound:
+    def test_capacity_must_be_positive(self):
+        for capacity in (0, -1):
+            with pytest.raises(TelemetryError):
+                TelemetrySession(trace_capacity=capacity)
+
+    def test_under_capacity_keeps_everything(self):
+        recorder = SpanRecorder(capacity=8)
+        for i in range(5):
+            _sim(recorder, i)
+        assert len(recorder) == 5
+        assert recorder.dropped == 0
+        assert [r.name for r in recorder.records(SIM_CLOCK)] == [
+            f"e{i}" for i in range(5)
+        ]
+
+    def test_exactly_full_is_not_a_drop(self):
+        recorder = SpanRecorder(capacity=3)
+        for i in range(3):
+            _sim(recorder, i)
+        assert recorder.dropped == 0
+        assert [r.name for r in recorder.records(SIM_CLOCK)] == [
+            "e0", "e1", "e2",
+        ]
+
+    def test_simulated_records_do_not_crowd_out_spans(self):
+        recorder = SpanRecorder(capacity=4)
+        for i in range(10):
+            _sim(recorder, i)
+        opened = []
+        for i in range(5):
+            with recorder.span(f"s{i}") as record:
+                opened.append(record)
+        # each clock has its own bound: four spans still fit, the fifth
+        # is refused
+        assert all(record is not None for record in opened[:4])
+        assert opened[4] is None
+        assert len(recorder.records(WALL_CLOCK)) == 4
+        # claim on entry: the first simulated records are the ones kept
+        assert [r.name for r in recorder.records(SIM_CLOCK)] == [
+            "e0", "e1", "e2", "e3",
+        ]
+        assert recorder.drops == {SIM_CLOCK: 6, WALL_CLOCK: 1}
+        assert recorder.dropped == 7
+
+    def test_snapshot_publishes_drops_once(self):
+        session = TelemetrySession(trace_capacity=2)
+        assert session.snapshot()["telemetry.dropped"] == 0
+        for i in range(5):
+            _sim(session.spans, i)
+        assert session.snapshot()["telemetry.dropped"] == 3
+        # a second snapshot does not count the same drops again
+        assert session.snapshot()["telemetry.dropped"] == 3
+
+
+class TestEmitters:
+    def test_trap_event_converts_cycles_to_microseconds(self):
+        recorder = SpanRecorder()
+        frame = TrapFrame(
+            kind=TrapKind.ECC_ERROR,
+            tid=3,
+            component=Component.USER,
+            va=0x1000,
+            pa=0x2000,
+            cycle=250,
+        )
+        recorder.trap(frame, handler_cycles=246)
+        (record,) = recorder.spans
+        assert record.name == "ecc_error"
+        assert record.clock == SIM_CLOCK
+        assert record.lane == "user"
+        assert record.start_us == pytest.approx(250 / CYCLES_PER_US)
+        assert record.dur_us == pytest.approx(246 / CYCLES_PER_US)
+        assert record.args == {
+            "tid": 3, "va": 0x1000, "pa": 0x2000, "cycle": 250,
+            "handler_cycles": 246,
+        }
+
+    def test_page_fault_and_clock_events(self):
+        recorder = SpanRecorder()
+        recorder.page_fault(100, Component.KERNEL, tid=0, vpn=7)
+        recorder.clock_ticks(200, ticks=2)
+        fault, tick = recorder.spans
+        assert (fault.name, fault.lane, fault.clock) == (
+            "page_fault", "kernel", SIM_CLOCK,
+        )
+        assert fault.args == {"tid": 0, "vpn": 7, "cycle": 100}
+        assert (tick.name, tick.lane, tick.args["ticks"]) == (
+            "clock_tick", "clock", 2,
+        )
+
+    def test_farm_event_ends_now_on_the_wall_clock(self):
+        recorder = SpanRecorder()
+        before = recorder.now_us()
+        recorder.farm_event("job", dur_secs=0.25, measure="m", seed=1)
+        after = recorder.now_us()
+        (record,) = recorder.spans
+        assert (record.clock, record.lane) == (WALL_CLOCK, JOBS_LANE)
+        assert record.dur_us == pytest.approx(250_000.0)
+        end = record.start_us + record.dur_us
+        assert before <= end <= after
+        assert record.args == {"measure": "m", "seed": 1}
 
 
 class TestSerialization:
@@ -128,12 +247,17 @@ class TestSerialization:
         assert inner.args is None
 
     def test_round_trip_is_json_safe(self):
-        import json
-
         recorder = self._record_two()
         wire = json.loads(json.dumps(recorder.to_dicts()))
         hydrated = spans_from_dicts(wire)
         assert hydrated[1].parent_id == hydrated[0].span_id
+
+    def test_simulated_records_are_not_serialized(self):
+        recorder = self._record_two()
+        _sim(recorder, 0)
+        assert [r["name"] for r in recorder.to_dicts()] == [
+            "worker.job", "measure",
+        ]
 
     @pytest.mark.parametrize(
         "record",
@@ -149,6 +273,46 @@ class TestSerialization:
     def test_malformed_record_raises(self, record):
         with pytest.raises(TelemetryError):
             span_from_dict(record)
+
+
+class TestAbsorb:
+    def _worker_spans(self):
+        worker = SpanRecorder()
+        with worker.span("worker.job"):
+            with worker.span("test.inner"):
+                pass
+        return spans_from_dicts(worker.to_dicts())
+
+    def test_renumbered_from_the_master_sequence_on_one_lane(self):
+        master = SpanRecorder()
+        with master.span("farm.batch") as batch:
+            master.absorb(self._worker_spans(), worker=7)
+            master.absorb(self._worker_spans(), worker=7)
+        ids = [record.span_id for record in master.spans]
+        assert len(ids) == len(set(ids)) == 5
+        jobs = [r for r in master.spans if r.name == "worker.job"]
+        inners = [r for r in master.spans if r.name == "test.inner"]
+        assert {r.lane for r in jobs + inners} == {"worker 7"}
+        assert [r.parent_id for r in inners] == [r.span_id for r in jobs]
+        assert all(r.parent_id is None for r in jobs)
+        assert all(r.args["worker"] == 7 for r in jobs + inners)
+        # shifted onto the master's clock: inside the batch that
+        # received them
+        for record in jobs + inners:
+            assert batch.start_us <= record.start_us
+            assert (
+                record.start_us + record.dur_us
+                <= batch.start_us + batch.dur_us
+            )
+
+    def test_bounded_by_the_master_and_worker_drops_added(self):
+        master = SpanRecorder(capacity=3)
+        master.absorb(self._worker_spans(), worker=1, dropped=4)
+        master.absorb(self._worker_spans(), worker=2)
+        assert [r.name for r in master.spans] == [
+            "worker.job", "test.inner", "worker.job",
+        ]
+        assert master.drops == {SIM_CLOCK: 0, WALL_CLOCK: 5}
 
 
 class TestModuleLevelSpan:
@@ -169,6 +333,64 @@ class TestModuleLevelSpan:
 
 
 class TestChromeRendering:
+    def _session(self) -> TelemetrySession:
+        session = TelemetrySession(trace_capacity=16)
+        frame = TrapFrame(
+            kind=TrapKind.PAGE_INVALID,
+            tid=1,
+            component=Component.USER,
+            va=0,
+            pa=0,
+            cycle=500,
+        )
+        session.spans.trap(frame, handler_cycles=246)
+        session.spans.clock_ticks(1000, ticks=1)
+        session.spans.farm_event("cache_hit")
+        return session
+
+    def test_structure_and_metadata(self):
+        trace = merged_chrome_trace(self._session())
+        assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
+        events = trace["traceEvents"]
+        meta = [e for e in events if e["ph"] == "M"]
+        names = {(e["name"], e["pid"]) for e in meta}
+        assert ("process_name", MACHINE_PID) in names
+        assert ("process_name", FARM_PID) in names
+        # one thread_name per (pid, lane) actually used
+        lanes = {
+            (e["pid"], e["args"]["name"])
+            for e in meta
+            if e["name"] == "thread_name"
+        }
+        assert lanes == {
+            (MACHINE_PID, "user"),
+            (MACHINE_PID, "clock"),
+            (FARM_PID, "jobs"),
+        }
+
+    def test_phases_durations_and_json_round_trip(self):
+        session = self._session()
+        payload = json.loads(json.dumps(merged_chrome_trace(session)))
+        real = [e for e in payload["traceEvents"] if e["ph"] != "M"]
+        assert [(e["name"], e["cat"]) for e in real] == [
+            ("page_invalid", "trap"),
+            ("clock_tick", "clock"),
+            ("cache_hit", "farm"),
+        ]
+        for event in real:
+            assert {"name", "cat", "pid", "tid", "ts", "ph"} <= set(event)
+            if event["ph"] == "X":
+                assert event["dur"] > 0
+            else:
+                assert event["ph"] == "i"
+                assert event["s"] == "t"
+        assert payload["otherData"] == {
+            "run_id": session.run_id,
+            "capacity": 16,
+            "dropped": 0,
+            "worker_lanes": 0,
+        }
+
     def test_span_events_carry_lane_and_correlation(self):
         recorder = SpanRecorder()
         with recorder.span("job", job_key="k"):
@@ -188,8 +410,6 @@ class TestChromeRendering:
 
     def test_merged_trace_has_master_and_worker_lanes(self):
         session = TelemetrySession()
-        with session.spans.span("farm.batch"):
-            pass
         envelope = {
             "v": 1,
             "worker_pid": 4242,
@@ -199,10 +419,11 @@ class TestChromeRendering:
                 {"name": "worker.job", "id": 1, "parent": None,
                  "start_us": 0.0, "dur_us": 5.0},
             ],
-            "spans_dropped": 0,
+            "dropped": 0,
             "metrics": {"v": 1, "series": {}},
         }
-        session.absorb_worker_envelope(envelope, shift_us=250.0)
+        with session.spans.span("farm.batch"):
+            session.absorb_worker_envelope(envelope)
         trace = merged_chrome_trace(session)
         events = trace["traceEvents"]
 
@@ -217,9 +438,12 @@ class TestChromeRendering:
             if e.get("pid") == WORKER_PID and e.get("ph") == "X"
         ]
         (job_event,) = worker
-        assert job_event["ts"] == pytest.approx(250.0)
+        (batch,) = master
+        assert batch["ts"] <= job_event["ts"]
+        assert job_event["ts"] + 5.0 <= batch["ts"] + batch["dur"]
         assert job_event["args"]["run_id"] == session.run_id
         assert job_event["args"]["worker"] == 4242
+        assert job_event["args"]["span_id"] != batch["args"]["span_id"]
 
         names = [
             e["args"]["name"] for e in events
@@ -230,7 +454,6 @@ class TestChromeRendering:
 
         other = trace["otherData"]
         assert other["run_id"] == session.run_id
-        assert other["spans"] == 1
         assert other["worker_lanes"] == 1
 
     def test_run_ids_are_fresh(self):

@@ -4,7 +4,7 @@ This is the Monster property from the paper — observation that is
 "unobtrusive by construction" — restated for software telemetry: a
 trap-driven run must produce a bit-identical :class:`TrapRunReport`
 whether a telemetry session is active or not, while the session itself
-fills with events, metrics and a schema-valid manifest.
+fills with timeline records, metrics and a schema-valid manifest.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.telemetry.session import (
     deactivate,
     enabled,
 )
+from repro.telemetry.spans import SIM_CLOCK, merged_chrome_trace
 from repro.workloads import get_workload
 
 
@@ -99,7 +100,7 @@ class TestBitIdentical:
         assert observed.estimated_misses == baseline.estimated_misses
 
         # while telemetry genuinely observed the run
-        assert session.trace.recorded > 0
+        assert session.spans.records(SIM_CLOCK)
         assert len(session.metrics) > 0
         snapshot = session.metrics.snapshot()
         assert snapshot["tapeworm.overhead_cycles"] == baseline.overhead_cycles
@@ -128,7 +129,8 @@ class TestBitIdentical:
     def test_trace_exports_valid_chrome_trace(self, tmp_path):
         with enabled() as session:
             _run()
-        path = session.trace.write_chrome_trace(tmp_path / "trace.json")
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(merged_chrome_trace(session)))
         trace = json.loads(path.read_text())
         events = trace["traceEvents"]
         assert any(e.get("cat") == "trap" for e in events)
@@ -204,6 +206,6 @@ class TestBoundedTrace:
         baseline = _run()
         with enabled(trace_capacity=16) as session:
             observed = _run()
-        assert session.trace.dropped > 0
-        assert len(session.trace.events()) == 16
+        assert session.spans.dropped > 0
+        assert len(session.spans.records(SIM_CLOCK)) == 16
         assert _as_comparable(observed) == _as_comparable(baseline)

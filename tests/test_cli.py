@@ -237,8 +237,27 @@ class TestTelemetryOutputs:
         trace = json.loads(trace_path.read_text())
         assert trace["otherData"]["capacity"] == 8
         assert trace["otherData"]["dropped"] > 0
+        # a serial run records on the simulated clock only
         real = [e for e in trace["traceEvents"] if e["ph"] != "M"]
         assert len(real) == 8
+        assert {e["pid"] for e in real} == {1}
+
+    def test_manifest_records_timeline_drops(self, tmp_path):
+        trace_path = tmp_path / "t.json"
+        manifest_path = tmp_path / "man.jsonl"
+        code = main(
+            self.RUN
+            + [
+                "--trace-capacity", "8",
+                "--trace-out", str(trace_path),
+                "--manifest-out", str(manifest_path),
+            ]
+        )
+        assert code == 0
+        dropped = json.loads(trace_path.read_text())["otherData"]["dropped"]
+        assert dropped > 0
+        (line,) = manifest_path.read_text().splitlines()
+        assert json.loads(line)["metrics"]["telemetry.dropped"] == dropped
 
     def test_reproduce_table7_exports_artifacts(self, tmp_path, capsys):
         """The acceptance path: a Table 7 run exports a Chrome trace and
@@ -283,6 +302,22 @@ class TestTelemetryOutputs:
         out = capsys.readouterr().out
         line = [l for l in out.splitlines() if l.startswith("{")][-1]
         assert validate_record(json.loads(line)) == []
+
+    def test_failed_command_leaves_no_session_active(self, capsys):
+        from repro.streams import active as active_streams
+        from repro.telemetry import active as active_telemetry
+
+        # --jobs 0 is rejected while the farm is built, after the
+        # stream session is up
+        code = main(
+            ["reproduce", "table7", "--budget", "tiny", "--jobs", "0",
+             "--no-manifest", "--trace-out", "t.json"]
+        )
+        assert code == 1
+        assert "max_workers" in capsys.readouterr().err
+        assert active_streams() is None
+        assert active_telemetry() is None
+        assert main(self.RUN + ["--no-manifest"]) == 0
 
 
 class TestTelemetryCommand:
@@ -455,7 +490,7 @@ class TestObservabilityCommands:
         trace_path = tmp_path / "t.json"
         assert main(self.RUN + ["--trace-out", str(trace_path)]) == 0
         other = json.loads(trace_path.read_text())["otherData"]
-        for key in ("run_id", "spans", "spans_dropped", "worker_lanes"):
+        for key in ("run_id", "capacity", "dropped", "worker_lanes"):
             assert key in other
 
     def test_trace_merge_remaps_pids(self, tmp_path, capsys):
