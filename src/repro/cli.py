@@ -1,33 +1,30 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
+Commands (``python -m repro <command> --help`` lists a command's flags):
 
-``run``
-    One trap-driven simulation with explicit parameters.
-``trace``
-    One Pixie+Cache2000 trace-driven simulation; ``trace merge`` folds
-    several Chrome trace files into one Perfetto-ready view.
-``reproduce``
-    Regenerate a paper table or figure and print it.
-``workloads``
-    List the workload models and their Table 3/4 metadata.
-``assess-port``
-    Apply the Table 12 port-feasibility reasoning to one processor.
-``farm``
-    Inspect or clear the execution farm's result cache.
-``streams``
-    Inspect, clear or pre-warm the compiled reference-stream store.
-``sample``
-    Interval-sampling utilities: profile a stream into per-interval
-    features, build a phase-clustered sampling plan, or summarize the
-    sampled-run estimates recorded in the manifest log.
-``telemetry``
-    Inspect, validate or clear the run-manifest log; ``telemetry top``
-    ranks the heaviest metric series (e.g. ``--prefix profile.``).
-``chaos``
-    Run a fault-injection plan and verify the detected-or-absorbed
-    contract, or print the default plan as JSON to edit.
+``run``          one trap-driven simulation with explicit parameters
+``trace``        one Pixie+Cache2000 trace-driven simulation; ``trace merge``
+                 folds Chrome trace files into one Perfetto-ready view
+``reproduce``    regenerate a paper table or figure and print it
+``sweep``        ``sweep grid``: a (sets x ways) LRU grid in one pass per
+                 set count, bit-equal to running each configuration
+``workloads``    the workload models and their Table 3/4 metadata
+``profile``      fully-associative LRU miss ratios of one workload's streams
+``assess-port``  the Table 12 port-feasibility reasoning for one processor
+``farm``         inspect or clear the execution farm's result cache
+``serve``        run a batch on the supervised, crash-recoverable farm service
+``jobs``         list, retry or garbage-collect the service's job journal
+``streams``      inspect, clear or pre-warm the compiled reference-stream store
+``sample``       interval sampling: per-interval features, a phase-clustered
+                 plan, or the sampled estimates in the manifest log
+``telemetry``    inspect, validate or clear the run-manifest log; ``telemetry
+                 top`` ranks the heaviest metric series
+``chaos``        run a fault plan against the detected-or-absorbed contract,
+                 or print the default plan as JSON to edit
+
+A flag several commands share is declared once, on a parent parser, and
+means the same on each.  ``--refs`` (a reference count) must be a
+positive integer wherever it is accepted.
 
 ``run`` and ``reproduce`` also accept ``--fault-plan PLAN.json`` to
 inject machine-plane faults (and, with ``--jobs``, worker faults) into
@@ -44,35 +41,59 @@ timeline per clock; ``telemetry.dropped`` counts what it refused.
 ``--profile`` additionally times the simulator's hot-path phases into
 ``profile.*`` histograms; results stay bit-identical.
 
-``run``, ``trace`` and ``reproduce`` use the compiled reference-stream
-store (``.stream-cache/``) by default: each workload's streams are
-materialized once and memory-mapped on every later run, with results
-bit-identical to live generation.  ``--no-stream-cache`` disables the
-store (streams still compile in memory once per process and, with
-``--jobs``, travel to workers over shared memory).
+``run``, ``trace``, ``reproduce``, ``sample`` and ``sweep grid`` use the
+compiled reference-stream store (``.stream-cache/``) by default: each
+workload's streams are materialized once and memory-mapped on every
+later run, with results bit-identical to live generation.
+``--no-stream-cache`` disables the store (streams still compile in
+memory once per process and, with ``--jobs``, travel to workers over
+shared memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
+import inspect
 import json
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro import telemetry
+from repro import faults, streams, telemetry
 from repro._types import Component, Indexing
-from repro.caches.config import CacheConfig, TLBConfig
+from repro.caches.config import CacheConfig, GridConfig, TLBConfig
+from repro.caches.gridsweep import grid_job, grid_rows
+from repro.caches.stack import StackSimulator
 from repro.core.tapeworm import TapewormConfig
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.experiments import BUDGET_REFS
+from repro.farm import (
+    DEFAULT_CACHE_DIR,
+    CacheGC,
+    Farm,
+    FarmConfig,
+    FarmService,
+    Job,
+    JobJournal,
+    ResultCache,
+    ServiceConfig,
+    journal_pins,
+)
+from repro.farm.service import journal_rows
+from repro.faults.infra import WorkerFaults
 from repro.harness.runner import RunOptions, run_trace_driven, run_trap_driven
 from repro.harness.tables import format_table
+from repro.streams import StreamSession, StreamStore
+from repro.streams.store import DEFAULT_STORE_DIR
 from repro.workloads.registry import WORKLOAD_NAMES, all_workloads, get_workload
 
-#: experiment name -> module under repro.experiments
+#: experiment name -> module under repro.experiments; the module's
+#: ``run_<module>`` signature says whether it takes a budget and a farm,
+#: and a ``run_<module>_sampled`` marks an interval-sampled variant
 EXPERIMENTS = {
     "figure1": "figure1",
     "table3_4": "table34",
@@ -90,15 +111,6 @@ EXPERIMENTS = {
     "tlb_extension": "tlb_extension",
 }
 
-#: experiments whose runners take no budget argument
-_STATIC_EXPERIMENTS = {"figure1", "table11", "table12"}
-
-#: experiments whose runners accept a ``farm`` for parallel/cached trials
-_FARM_EXPERIMENTS = {"table7", "table8", "table9", "table10"}
-
-#: experiments with an interval-sampled variant (``--sample-mode sampled``)
-_SAMPLED_EXPERIMENTS = {"table7"}
-
 
 def _parse_size(text: str) -> int:
     """'4K' / '64K' / '1M' / plain bytes -> bytes."""
@@ -112,6 +124,19 @@ def _parse_size(text: str) -> int:
         return int(text) * multiplier
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad size: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """A reference count: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -146,21 +171,93 @@ def _components(names: str) -> frozenset[Component]:
         ) from None
 
 
-def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("stream store")
-    group.add_argument(
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser: flags declared once and shared via ``parents=``
+    (without its own ``-h``, which would clash with the child's)."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # -- flags several commands share, each declared once --------------
+    json_flag = _flags()
+    json_flag.add_argument(
+        "--json", action="store_true",
+        help="emit JSON instead of the text view",
+    )
+    cache_dir = _flags()
+    cache_dir.add_argument(
+        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
+        help="farm result cache and job journal directory "
+             "(default %(default)s/)",
+    )
+    manifest_path = _flags()
+    manifest_path.add_argument(
+        "--manifest-path", default=telemetry.DEFAULT_MANIFEST_PATH,
+        metavar="PATH", help="run-manifest log (default %(default)s)",
+    )
+    workload = _flags()
+    workload.add_argument("--workload", choices=WORKLOAD_NAMES, default="mpeg_play")
+    seed = _flags()
+    seed.add_argument("--seed", type=int, default=0)
+    indexing = _flags()
+    indexing.add_argument(
+        "--indexing", choices=("physical", "virtual"), default="physical"
+    )
+    budget = _flags()
+    budget.add_argument(
+        "--budget", choices=tuple(sorted(BUDGET_REFS)), default="quick",
+        help="named reference budget",
+    )
+    budget_refs = _flags(budget)
+    budget_refs.add_argument(
+        "--refs", type=_positive_int, default=None, metavar="N",
+        help="explicit reference budget (overrides --budget)",
+    )
+    store_dir = _flags()
+    store_dir.add_argument(
+        "--stream-dir", default=DEFAULT_STORE_DIR, metavar="DIR",
+        help="stream store directory (default %(default)s/)",
+    )
+    stream_flags = _flags(store_dir)
+    stream_flags.add_argument(
         "--no-stream-cache", action="store_true",
         help="do not persist compiled reference streams to disk "
              "(results are identical; streams recompile per process)",
     )
-    group.add_argument(
-        "--stream-dir", default=None, metavar="DIR",
-        help="stream store directory (default .stream-cache/)",
+    no_cache = _flags()
+    no_cache.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the farm's result cache",
     )
-
-
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("telemetry")
+    fault_plan = _flags()
+    fault_plan.add_argument(
+        "--fault-plan", metavar="PLAN.json", default=None,
+        help="inject the plan's machine-plane faults into every trial "
+             "(and its worker faults into a --jobs farm), auditing the "
+             "trap invariant at the plan's cadence",
+    )
+    interval_refs = _flags()
+    interval_refs.add_argument(
+        "--interval-refs", type=int, default=None, metavar="N",
+        help="references per sampling interval "
+             "(default: budget/32, floored at one scheduler chunk)",
+    )
+    max_phases = _flags()
+    max_phases.add_argument(
+        "--max-phases", type=int, default=4, metavar="K",
+        help="phase-count ceiling for the BIC model selection",
+    )
+    gc = _flags()
+    gc.add_argument(
+        "--stream-dir", default=None, metavar="DIR",
+        help="also collect this stream-store directory",
+    )
+    gc.add_argument(
+        "--shard", action="store_true",
+        help="migrate the stream tier into two-level shard dirs during GC",
+    )
+    tele = _flags()
+    group = tele.add_argument_group("telemetry")
     group.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="write the run's timeline (simulated-machine traps, farm jobs, "
@@ -192,60 +289,47 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
              "histograms and span events (results stay bit-identical; "
              "implies an active telemetry session)",
     )
+    trial = _flags(workload, stream_flags)
+    trial.add_argument("--cache-size", type=_parse_size, default=4096)
+    trial.add_argument("--line-bytes", type=int, default=16)
+    trial.add_argument("--associativity", type=int, default=1)
+    trial.add_argument("--refs", type=_positive_int, default=300_000)
 
-
-def build_parser() -> argparse.ArgumentParser:
+    # -- commands; each leaf binds its handler -------------------------
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Tapeworm II (ASPLOS 1994) reproduction toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    run = sub.add_parser("run", help="one trap-driven simulation")
-    run.add_argument("--workload", choices=WORKLOAD_NAMES, default="mpeg_play")
-    run.add_argument("--structure", choices=("cache", "tlb"), default="cache")
-    run.add_argument("--cache-size", type=_parse_size, default=4096)
-    run.add_argument("--line-bytes", type=int, default=16)
-    run.add_argument("--associativity", type=int, default=1)
-    run.add_argument(
-        "--indexing", choices=("physical", "virtual"), default="physical"
+    run = sub.add_parser(
+        "run", parents=[trial, indexing, seed, fault_plan, tele],
+        help="one trap-driven simulation",
     )
+    run.set_defaults(handler=_cmd_run)
+    run.add_argument("--structure", choices=("cache", "tlb"), default="cache")
     run.add_argument("--tlb-entries", type=int, default=64)
     run.add_argument("--page-bytes", type=_parse_size, default=4096)
     run.add_argument("--replacement", default="lru")
     run.add_argument("--sampling", type=int, default=1, metavar="K")
-    run.add_argument("--refs", type=int, default=300_000)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--simulate", type=_components, default=frozenset(Component),
         help="components to register: comma list of user,kernel,bsd,x or 'all'",
     )
-    run.add_argument(
-        "--fault-plan", metavar="PLAN.json", default=None,
-        help="inject the machine-plane faults of this plan into the run "
-             "and audit the trap invariant at the plan's cadence",
-    )
-    _add_stream_flags(run)
-    _add_telemetry_flags(run)
 
     trace = sub.add_parser(
-        "trace",
+        "trace", parents=[trial],
         help="one Pixie+Cache2000 simulation, or 'trace merge' to "
              "combine Chrome trace files",
     )
-    trace.add_argument("--workload", choices=WORKLOAD_NAMES, default="mpeg_play")
-    trace.add_argument("--cache-size", type=_parse_size, default=4096)
-    trace.add_argument("--line-bytes", type=int, default=16)
-    trace.add_argument("--associativity", type=int, default=1)
+    trace.set_defaults(handler=_cmd_trace)
     trace.add_argument("--sampling", type=int, default=1)
-    trace.add_argument("--refs", type=int, default=300_000)
-    _add_stream_flags(trace)
-    trace_sub = trace.add_subparsers(dest="trace_command")
-    t_merge = trace_sub.add_parser(
+    t_merge = trace.add_subparsers().add_parser(
         "merge",
         help="merge Chrome trace_event files (e.g. several runs' "
              "--trace-out) into one, lanes kept apart",
     )
+    t_merge.set_defaults(handler=_cmd_trace_merge)
     t_merge.add_argument(
         "inputs", nargs="+", metavar="TRACE.json",
         help="Chrome trace files to merge",
@@ -255,12 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="merged trace destination (default: stdout)",
     )
 
-    reproduce = sub.add_parser("reproduce", help="regenerate a paper table/figure")
+    reproduce = sub.add_parser(
+        "reproduce",
+        parents=[
+            budget, no_cache, fault_plan, interval_refs, max_phases,
+            stream_flags, tele,
+        ],
+        help="regenerate a paper table/figure",
+    )
+    reproduce.set_defaults(handler=_cmd_reproduce)
     reproduce.add_argument(
         "experiment", choices=sorted(EXPERIMENTS) + ["all"]
-    )
-    reproduce.add_argument(
-        "--budget", choices=tuple(sorted(BUDGET_REFS)), default="quick"
     )
     reproduce.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -268,124 +357,76 @@ def build_parser() -> argparse.ArgumentParser:
              "(with result caching; default: serial, no farm)",
     )
     reproduce.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the farm's result cache (only meaningful with --jobs)",
-    )
-    reproduce.add_argument(
-        "--fault-plan", metavar="PLAN.json", default=None,
-        help="inject the plan's machine-plane faults into every trial and "
-             "its worker faults into the farm (with --jobs)",
-    )
-    sampling_group = reproduce.add_argument_group("interval sampling")
-    sampling_group.add_argument(
         "--sample-mode", choices=("exact", "sampled"), default="exact",
         help="'sampled' runs supporting experiments (table7) through "
              "repro.sampling: only representative intervals are simulated "
              "and every result is an estimate with a 95%% CI "
              "(incompatible with --fault-plan)",
     )
-    sampling_group.add_argument(
-        "--interval-refs", type=int, default=None, metavar="N",
-        help="references per sampling interval "
-             "(default: budget/32, floored at one scheduler chunk)",
-    )
-    sampling_group.add_argument(
-        "--max-phases", type=int, default=4, metavar="K",
-        help="phase-count ceiling for the BIC model selection",
-    )
-    _add_stream_flags(reproduce)
-    _add_telemetry_flags(reproduce)
 
-    farm = sub.add_parser("farm", help="execution-farm cache utilities")
-    farm_sub = farm.add_subparsers(dest="farm_command", required=True)
-    stats = farm_sub.add_parser("stats", help="show cache contents and counters")
-    stats.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default .farm-cache/)",
-    )
-    stats.add_argument(
-        "--json", action="store_true",
-        help="emit the counters as a JSON object (machine-readable)",
-    )
-    clear = farm_sub.add_parser("clear", help="drop every cached result")
-    clear.add_argument("--cache-dir", default=None, metavar="DIR")
+    farm_sub = sub.add_parser(
+        "farm", help="execution-farm cache utilities"
+    ).add_subparsers(required=True)
+    farm_sub.add_parser(
+        "stats", parents=[cache_dir, json_flag],
+        help="show cache contents and counters",
+    ).set_defaults(handler=_cmd_farm_stats)
+    farm_sub.add_parser(
+        "clear", parents=[cache_dir], help="drop every cached result"
+    ).set_defaults(handler=_cmd_farm_clear)
 
-    streams = sub.add_parser(
+    streams_sub = sub.add_parser(
         "streams", help="compiled reference-stream store utilities"
-    )
-    streams_sub = streams.add_subparsers(dest="streams_command", required=True)
-    s_stats = streams_sub.add_parser(
-        "stats", help="show stored blobs and byte totals"
-    )
-    s_stats.add_argument(
-        "--stream-dir", default=None, metavar="DIR",
-        help="stream store directory (default .stream-cache/)",
-    )
-    s_stats.add_argument(
-        "--json", action="store_true",
-        help="emit the counters as a JSON object (machine-readable)",
-    )
-    s_clear = streams_sub.add_parser(
-        "clear", help="drop every compiled stream blob"
-    )
-    s_clear.add_argument("--stream-dir", default=None, metavar="DIR")
+    ).add_subparsers(required=True)
+    streams_sub.add_parser(
+        "stats", parents=[store_dir, json_flag],
+        help="show stored blobs and byte totals",
+    ).set_defaults(handler=_cmd_streams_stats)
+    streams_sub.add_parser(
+        "clear", parents=[store_dir],
+        help="drop every compiled stream blob",
+    ).set_defaults(handler=_cmd_streams_clear)
     s_warm = streams_sub.add_parser(
-        "warm", help="precompile workload streams into the store"
+        "warm", parents=[budget_refs, store_dir],
+        help="precompile workload streams into the store",
     )
+    s_warm.set_defaults(handler=_cmd_streams_warm)
     s_warm.add_argument(
         "--workload", default="all",
         choices=tuple(WORKLOAD_NAMES) + ("all",),
         help="workload to compile (default: all registered workloads)",
     )
     s_warm.add_argument(
-        "--budget", choices=tuple(sorted(BUDGET_REFS)), default="quick",
-        help="reference budget the blobs are sized for",
-    )
-    s_warm.add_argument(
-        "--refs", type=int, default=None, metavar="N",
-        help="explicit reference budget (overrides --budget)",
-    )
-    s_warm.add_argument(
         "--data", action="store_true",
         help="also compile the data-interleaved (TLB) stream variants",
     )
-    s_warm.add_argument("--stream-dir", default=None, metavar="DIR")
 
-    tele = sub.add_parser(
+    tele_sub = sub.add_parser(
         "telemetry", help="run-manifest and telemetry utilities"
-    )
-    tele_sub = tele.add_subparsers(dest="telemetry_command", required=True)
+    ).add_subparsers(required=True)
     manifests = tele_sub.add_parser(
-        "manifests", help="list recorded run manifests"
+        "manifests", parents=[manifest_path, json_flag],
+        help="list recorded run manifests",
     )
-    manifests.add_argument(
-        "--manifest-path", default=None, metavar="PATH",
-        help=f"manifest log (default {telemetry.DEFAULT_MANIFEST_PATH})",
-    )
+    manifests.set_defaults(handler=_cmd_telemetry_manifests)
     manifests.add_argument(
         "--last", type=int, default=20, metavar="N",
         help="show only the most recent N records",
     )
-    manifests.add_argument(
-        "--json", action="store_true", help="emit raw JSONL records"
-    )
-    validate = tele_sub.add_parser(
-        "validate", help="schema-check every record in the manifest log"
-    )
-    validate.add_argument("--manifest-path", default=None, metavar="PATH")
+    tele_sub.add_parser(
+        "validate", parents=[manifest_path],
+        help="schema-check every record in the manifest log",
+    ).set_defaults(handler=_cmd_telemetry_validate)
     top = tele_sub.add_parser(
-        "top",
+        "top", parents=[manifest_path, json_flag],
         help="rank metric series by weight (histograms by total, "
              "counters by value) from a snapshot or the manifest log",
     )
+    top.set_defaults(handler=_cmd_telemetry_top)
     top.add_argument(
         "--metrics", default=None, metavar="SNAPSHOT.json",
         help="metrics snapshot (a --metrics-out file); default: the "
              "latest manifest record's metrics block",
-    )
-    top.add_argument(
-        "--manifest-path", default=None, metavar="PATH",
-        help=f"manifest log (default {telemetry.DEFAULT_MANIFEST_PATH})",
     )
     top.add_argument(
         "--prefix", default="", metavar="NAME",
@@ -395,49 +436,40 @@ def build_parser() -> argparse.ArgumentParser:
         "-n", "--limit", type=int, default=20, metavar="N",
         help="show the top N series (default 20)",
     )
-    top.add_argument("--json", action="store_true", help="emit JSON")
-    tele_clear = tele_sub.add_parser(
-        "clear", help="drop the run-manifest log"
-    )
-    tele_clear.add_argument("--manifest-path", default=None, metavar="PATH")
+    tele_sub.add_parser(
+        "clear", parents=[manifest_path], help="drop the run-manifest log"
+    ).set_defaults(handler=_cmd_telemetry_clear)
 
-    chaos = sub.add_parser(
+    chaos_sub = sub.add_parser(
         "chaos", help="fault-injection runs and plan utilities"
-    )
-    chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
+    ).add_subparsers(required=True)
     chaos_run = chaos_sub.add_parser(
-        "run",
+        "run", parents=[workload, seed, json_flag],
         help="execute a fault plan; exit non-zero on any silent fault",
     )
+    chaos_run.set_defaults(handler=_cmd_chaos_run)
     chaos_run.add_argument(
         "--plan", metavar="PLAN.json", default=None,
         help="fault plan to execute (default: the built-in default plan)",
     )
     chaos_run.add_argument(
-        "--workload", choices=WORKLOAD_NAMES, default="mpeg_play"
-    )
-    chaos_run.add_argument(
-        "--refs", type=int, default=None, metavar="N",
+        "--refs", type=_positive_int, default=None, metavar="N",
         help="trap-driven budget per machine-plane fault class",
     )
-    chaos_run.add_argument("--seed", type=int, default=0)
     chaos_run.add_argument(
         "--report-out", metavar="PATH", default=None,
         help="also write the full report as JSON ('-' for stdout)",
     )
-    chaos_run.add_argument(
-        "--json", action="store_true",
-        help="print the JSON report instead of the text rendering",
-    )
     chaos_sub.add_parser(
         "plan", help="print the default fault plan as editable JSON"
-    )
+    ).set_defaults(handler=_cmd_chaos_plan)
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[cache_dir, gc, json_flag],
         help="run a batch through the supervised, crash-recoverable farm "
              "service (journal + supervisor + GC)",
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument(
         "--measure", default="chaos.probe", metavar="NAME",
         help="registered measure every job runs (default: the chaos probe)",
@@ -454,10 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--jobs", type=int, default=2, metavar="W",
         help="pool worker processes (default 2)",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="farm cache + journal directory (default .farm-cache/)",
     )
     serve.add_argument(
         "--client", default="cli", metavar="ID",
@@ -478,122 +506,76 @@ def build_parser() -> argparse.ArgumentParser:
              "tier (journal-leased entries are pinned)",
     )
     serve.add_argument(
-        "--stream-dir", default=None, metavar="DIR",
-        help="also GC this stream-store directory",
-    )
-    serve.add_argument(
-        "--shard", action="store_true",
-        help="migrate the stream tier into two-level shard dirs during GC",
-    )
-    serve.add_argument(
         "--compact", action="store_true",
         help="drop retired (done) journal entries after the run",
     )
-    serve.add_argument(
-        "--json", action="store_true",
-        help="emit the full service report as JSON",
-    )
 
-    jobs = sub.add_parser(
+    jobs_sub = sub.add_parser(
         "jobs", help="job-journal utilities (list, retry, gc)"
-    )
-    jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
+    ).add_subparsers(required=True)
     j_list = jobs_sub.add_parser(
-        "list", help="show the journal's job table"
+        "list", parents=[cache_dir, json_flag],
+        help="show the journal's job table",
     )
-    j_list.add_argument("--cache-dir", default=None, metavar="DIR")
+    j_list.set_defaults(handler=_cmd_jobs_list)
     j_list.add_argument(
         "--state", default=None,
         choices=("queued", "leased", "done", "failed", "poisoned"),
         help="only jobs in this state",
     )
-    j_list.add_argument("--json", action="store_true")
-    j_retry = jobs_sub.add_parser(
-        "retry",
+    jobs_sub.add_parser(
+        "retry", parents=[cache_dir, json_flag],
         help="requeue every failed/poisoned job and re-run it serially",
-    )
-    j_retry.add_argument("--cache-dir", default=None, metavar="DIR")
-    j_retry.add_argument("--json", action="store_true")
+    ).set_defaults(handler=_cmd_jobs_retry)
     j_gc = jobs_sub.add_parser(
-        "gc", help="size-budgeted cache GC with journal pins held"
+        "gc", parents=[cache_dir, gc, json_flag],
+        help="size-budgeted cache GC with journal pins held",
     )
+    j_gc.set_defaults(handler=_cmd_jobs_gc)
     j_gc.add_argument(
         "--cache-budget", type=int, required=True, metavar="BYTES",
         help="per-tier byte budget (0 = evict everything unpinned)",
     )
-    j_gc.add_argument("--cache-dir", default=None, metavar="DIR")
-    j_gc.add_argument("--stream-dir", default=None, metavar="DIR")
-    j_gc.add_argument(
-        "--shard", action="store_true",
-        help="migrate the stream tier into two-level shard dirs",
-    )
-    j_gc.add_argument("--json", action="store_true")
 
-    sample = sub.add_parser(
+    sample_sub = sub.add_parser(
         "sample", help="interval-sampling utilities (profile, plan, stats)"
-    )
-    sample_sub = sample.add_subparsers(dest="sample_command", required=True)
-
-    def _add_sample_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workload", choices=WORKLOAD_NAMES, default="mpeg_play")
-        p.add_argument(
-            "--budget", choices=tuple(sorted(BUDGET_REFS)), default="quick"
-        )
-        p.add_argument(
-            "--refs", type=int, default=None, metavar="N",
-            help="explicit reference budget (overrides --budget)",
-        )
-        p.add_argument(
-            "--interval-refs", type=int, default=None, metavar="N",
-            help="references per interval (default: budget/32, floored at "
-                 "one scheduler chunk)",
-        )
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        _add_stream_flags(p)
-
-    sm_profile = sample_sub.add_parser(
-        "profile", help="per-interval feature vectors of one workload"
-    )
-    _add_sample_common(sm_profile)
+    ).add_subparsers(required=True)
+    sample_flags = [workload, budget_refs, interval_refs, json_flag, stream_flags]
+    sample_sub.add_parser(
+        "profile", parents=sample_flags,
+        help="per-interval feature vectors of one workload",
+    ).set_defaults(handler=_cmd_sample_profile)
     sm_plan = sample_sub.add_parser(
-        "plan", help="cluster a profile into phases and select intervals"
+        "plan", parents=[*sample_flags, max_phases, seed],
+        help="cluster a profile into phases and select intervals",
     )
-    _add_sample_common(sm_plan)
-    sm_plan.add_argument(
-        "--max-phases", type=int, default=4, metavar="K",
-        help="phase-count ceiling for the BIC model selection",
-    )
+    sm_plan.set_defaults(handler=_cmd_sample_plan)
     sm_plan.add_argument(
         "--per-phase", type=int, default=3, metavar="M",
         help="sampled intervals per phase (centroid + M-1 random)",
     )
-    sm_plan.add_argument("--seed", type=int, default=0)
     sm_plan.add_argument(
         "--out", metavar="PATH", default=None,
         help="also write the plan as JSON ('-' for stdout)",
     )
-    sm_stats = sample_sub.add_parser(
-        "stats", help="summarize sampled-run estimates in the manifest log"
-    )
-    sm_stats.add_argument(
-        "--manifest-path", default=None, metavar="PATH",
-        help=f"manifest log (default {telemetry.DEFAULT_MANIFEST_PATH})",
-    )
-    sm_stats.add_argument("--json", action="store_true", help="emit JSON")
+    sample_sub.add_parser(
+        "stats", parents=[manifest_path, json_flag],
+        help="summarize sampled-run estimates in the manifest log",
+    ).set_defaults(handler=_cmd_sample_stats)
 
-    sweep = sub.add_parser(
+    sw_grid = sub.add_parser(
         "sweep", help="one-pass multi-configuration sweeps"
-    )
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-    sw_grid = sweep_sub.add_parser(
+    ).add_subparsers(required=True).add_parser(
         "grid",
+        parents=[
+            workload, indexing, budget_refs, seed, no_cache, json_flag,
+            stream_flags, tele,
+        ],
         help="all-associativity (sets × ways) LRU grid from one "
              "stack-distance pass per set count, bit-equal to running "
              "every configuration separately",
     )
-    sw_grid.add_argument(
-        "--workload", choices=WORKLOAD_NAMES, default="mpeg_play"
-    )
+    sw_grid.set_defaults(handler=_cmd_sweep_grid)
     sw_grid.add_argument(
         "--sets", type=_int_list, default=(64, 128, 256, 512),
         metavar="S1,S2,...", help="power-of-two set counts (grid rows)",
@@ -608,39 +590,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="line size (default 16)",
     )
     sw_grid.add_argument(
-        "--indexing", choices=("physical", "virtual"), default="physical"
-    )
-    sw_grid.add_argument(
-        "--budget", choices=tuple(sorted(BUDGET_REFS)), default="quick"
-    )
-    sw_grid.add_argument(
-        "--refs", type=int, default=None, metavar="N",
-        help="explicit reference budget (overrides --budget)",
-    )
-    sw_grid.add_argument("--seed", type=int, default=0)
-    sw_grid.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="farm workers for the (single) sweep job; 1 runs in-process",
     )
-    sw_grid.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the farm result cache",
-    )
-    sw_grid.add_argument("--json", action="store_true", help="emit JSON")
-    _add_stream_flags(sw_grid)
-    _add_telemetry_flags(sw_grid)
 
-    sub.add_parser("workloads", help="list workload models")
+    sub.add_parser(
+        "workloads", help="list workload models"
+    ).set_defaults(handler=_cmd_workloads)
 
     profile = sub.add_parser(
         "profile", help="locality profile of one workload's streams"
     )
+    profile.set_defaults(handler=_cmd_profile)
     profile.add_argument("workload", choices=WORKLOAD_NAMES)
-    profile.add_argument("--refs", type=int, default=60_000)
+    profile.add_argument("--refs", type=_positive_int, default=60_000)
 
     assess = sub.add_parser(
         "assess-port", help="Table 12 feasibility for one processor"
     )
+    assess.set_defaults(handler=_cmd_assess_port)
     assess.add_argument("processor")
 
     return parser
@@ -655,8 +623,6 @@ def _write_or_print(target: str, payload: str) -> None:
     if target == "-":
         print(payload)
     else:
-        from pathlib import Path
-
         path = Path(target)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(payload + "\n")
@@ -671,7 +637,7 @@ def _telemetry_wanted(args: argparse.Namespace) -> bool:
     )
 
 
-@dataclass
+@dataclasses.dataclass
 class _Scope:
     """The sessions one simulation command activated (None: not wanted)."""
 
@@ -700,14 +666,9 @@ def _sessions(args: argparse.Namespace, fault_plan=None) -> Iterator[_Scope]:
     persists (the farm's ``--no-cache`` governs the independent *result*
     cache).
     """
-    from repro import streams
-    from repro.streams.store import DEFAULT_STORE_DIR
-
-    store = streams.StreamStore(
-        args.stream_dir or DEFAULT_STORE_DIR, enabled=not args.no_stream_cache
-    )
+    store = StreamStore(args.stream_dir, enabled=not args.no_stream_cache)
     with ExitStack() as stack:
-        scope = _Scope(streams.activate(streams.StreamSession(store=store)))
+        scope = _Scope(streams.activate(StreamSession(store=store)))
         stack.callback(streams.deactivate)
         if _telemetry_wanted(args):
             scope.telemetry = telemetry.activate(
@@ -717,8 +678,6 @@ def _sessions(args: argparse.Namespace, fault_plan=None) -> Iterator[_Scope]:
             )
             stack.callback(telemetry.deactivate)
         if fault_plan is not None:
-            from repro import faults
-
             scope.faults = faults.activate(fault_plan)
             stack.callback(faults.deactivate)
         yield scope
@@ -753,11 +712,7 @@ def _export_telemetry(
 
 def _load_fault_plan(args: argparse.Namespace):
     """The plan named by ``--fault-plan``, or None when faults are off."""
-    if getattr(args, "fault_plan", None) is None:
-        return None
-    from repro.faults import load_plan
-
-    return load_plan(args.fault_plan)
+    return None if args.fault_plan is None else faults.load_plan(args.fault_plan)
 
 
 def _print_fault_summary(session) -> None:
@@ -854,15 +809,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_trace_merge(args: argparse.Namespace) -> int:
     """Merge several Chrome trace files into one Perfetto-ready view."""
-    from pathlib import Path
-
     payloads = []
     for name in args.inputs:
         try:
-            payloads.append(json.loads(Path(name).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
+            payload = json.loads(Path(name).read_text())
+            if not isinstance(payload, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:  # JSONDecodeError included
             print(f"error: cannot read {name}: {exc}", file=sys.stderr)
             return 2
+        payloads.append(payload)
     merged = telemetry.merge_chrome_traces(payloads)
     _write_or_print(args.out, json.dumps(merged))
     if args.out != "-":
@@ -874,8 +830,6 @@ def _cmd_trace_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if getattr(args, "trace_command", None) == "merge":
-        return _cmd_trace_merge(args)
     spec = get_workload(args.workload)
     config = CacheConfig(
         size_bytes=args.cache_size,
@@ -896,19 +850,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _reproduce_one(
-    name: str, budget: str, farm=None, sample: Mapping[str, Any] | None = None
+    name: str, args: argparse.Namespace, farm=None
 ) -> dict[str, dict] | None:
     """Run and print one experiment; returns its ``estimates`` block
-    (manifest schema v2) for sampled runs, None for exact ones."""
-    import importlib
+    (manifest schema v2) for sampled runs, None for exact ones.
 
-    module = importlib.import_module(f"repro.experiments.{EXPERIMENTS[name]}")
-    if sample is not None and name in _SAMPLED_EXPERIMENTS:
-        result = module.run_table7_sampled(
+    The experiment's module says how to run it: whether ``run_<module>``
+    takes a budget and a farm, and whether a ``run_<module>_sampled``
+    variant exists for ``--sample-mode sampled``."""
+    stem, budget = EXPERIMENTS[name], args.budget
+    module = importlib.import_module(f"repro.experiments.{stem}")
+    run_sampled = getattr(module, f"run_{stem}_sampled", None)
+    if args.sample_mode == "sampled" and run_sampled is not None:
+        result = run_sampled(
             budget,
             farm=farm,
-            interval_refs=sample.get("interval_refs"),
-            max_phases=sample.get("max_phases", 4),
+            interval_refs=args.interval_refs,
+            max_phases=args.max_phases,
         )
         print(module.render_sampled(result))
         return {
@@ -916,10 +874,11 @@ def _reproduce_one(
             for workload, sampled in sorted(result.results.items())
             for metric, estimate in sorted(sampled.estimates.items())
         }
-    runner = getattr(module, f"run_{EXPERIMENTS[name]}")
-    if name in _STATIC_EXPERIMENTS:
+    runner = getattr(module, f"run_{stem}")
+    takes = inspect.signature(runner).parameters
+    if "budget" not in takes:
         result = runner()
-    elif farm is not None and name in _FARM_EXPERIMENTS:
+    elif farm is not None and "farm" in takes:
         result = runner(budget, farm=farm)
     else:
         result = runner(budget)
@@ -930,12 +889,8 @@ def _reproduce_one(
 def _build_farm(args: argparse.Namespace, fault_plan, stream_session):
     if args.jobs is None:
         return None
-    from repro.farm import Farm, FarmConfig
-
     worker_faults = None
     if fault_plan is not None:
-        from repro.faults.infra import WorkerFaults
-
         worker_faults = WorkerFaults.from_plan(fault_plan)
     return Farm(
         FarmConfig(
@@ -949,27 +904,19 @@ def _build_farm(args: argparse.Namespace, fault_plan, stream_session):
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     fault_plan = _load_fault_plan(args)
-    sample = None
-    if args.sample_mode == "sampled":
-        if fault_plan is not None:
-            from repro.errors import ConfigError
-
-            raise ConfigError(
-                "--sample-mode sampled is incompatible with --fault-plan: "
-                "fault experiments must simulate every reference "
-                "(injected faults mutate shared warm state)"
-            )
-        sample = {
-            "interval_refs": args.interval_refs,
-            "max_phases": args.max_phases,
-        }
+    if args.sample_mode == "sampled" and fault_plan is not None:
+        raise ConfigError(
+            "--sample-mode sampled is incompatible with --fault-plan: "
+            "fault experiments must simulate every reference "
+            "(injected faults mutate shared warm state)"
+        )
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     manifests = []
     with _sessions(args, fault_plan) as scope:
         farm = _build_farm(args, fault_plan, scope.streams)
         for name in names:
             started = time.perf_counter()
-            estimates = _reproduce_one(name, args.budget, farm, sample)
+            estimates = _reproduce_one(name, args, farm)
             if args.experiment == "all":
                 print()
             results: dict[str, Any] = {
@@ -1006,20 +953,47 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_weight(value: Any) -> float:
-    """The ranking weight of one snapshot entry: histogram total (time
-    spent), else the scalar counter/gauge value."""
+def _valid_records(path) -> list[dict[str, Any]]:
+    """The manifest log's records that pass ``validate_record``; how
+    many it skipped goes to stderr."""
+    records = telemetry.read_manifests(path)
+    valid = [r for r in records if not telemetry.validate_record(r)]
+    if len(valid) < len(records):
+        print(
+            f"skipped {len(records) - len(valid)} invalid record(s) in "
+            f"{path}; 'repro telemetry validate' names them",
+            file=sys.stderr,
+        )
+    return valid
+
+
+def _created(record: Mapping[str, Any]) -> str:
+    return time.strftime(
+        "%Y-%m-%d %H:%M:%S", time.localtime(record["created_unix"])
+    )
+
+
+def _renderable(value: Any) -> bool:
+    """A number, or a histogram whose shown fields are numbers."""
     if isinstance(value, Mapping):
-        total = value.get("sum", 0.0)
-        return float(total) if isinstance(total, (int, float)) else 0.0
-    return float(value) if isinstance(value, (int, float)) else 0.0
+        return all(
+            isinstance(value.get(key, 0), (int, float))
+            for key in ("count", "sum", "mean", "p90")
+        )
+    return isinstance(value, (int, float))
+
+
+def _metric_weight(value: Any) -> float:
+    """The ranking weight of one renderable snapshot entry: histogram
+    total (time spent), else the scalar counter/gauge value."""
+    if isinstance(value, Mapping):
+        return float(value.get("sum", 0.0))
+    return float(value)
 
 
 def _cmd_telemetry_top(args: argparse.Namespace) -> int:
     """Rank the heaviest metric series — where the run's time/volume went."""
     if args.metrics:
-        from pathlib import Path
-
         try:
             snapshot = json.loads(Path(args.metrics).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -1027,13 +1001,12 @@ def _cmd_telemetry_top(args: argparse.Namespace) -> int:
             return 2
         source = args.metrics
     else:
-        path = args.manifest_path or telemetry.DEFAULT_MANIFEST_PATH
-        records = telemetry.read_manifests(path)
+        records = _valid_records(args.manifest_path)
         if not records:
-            print(f"no manifest records in {path}", file=sys.stderr)
+            print(f"no manifest records in {args.manifest_path}", file=sys.stderr)
             return 2
-        snapshot = records[-1].get("metrics", {})
-        source = f"{path} (latest record: {records[-1].get('name', '?')})"
+        snapshot = records[-1]["metrics"]
+        source = f"{args.manifest_path} (latest record: {records[-1]['name']})"
     if not isinstance(snapshot, Mapping):
         print(f"error: {source} holds no metrics object", file=sys.stderr)
         return 2
@@ -1041,7 +1014,7 @@ def _cmd_telemetry_top(args: argparse.Namespace) -> int:
         (
             (key, value)
             for key, value in snapshot.items()
-            if key.startswith(args.prefix)
+            if key.startswith(args.prefix) and _renderable(value)
         ),
         key=lambda item: _metric_weight(item[1]),
         reverse=True,
@@ -1075,35 +1048,31 @@ def _cmd_telemetry_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    if args.telemetry_command == "top":
-        return _cmd_telemetry_top(args)
+def _cmd_telemetry_clear(args: argparse.Namespace) -> int:
+    target = Path(args.manifest_path)
+    count = len(telemetry.read_manifests(target))
+    if target.exists():
+        target.unlink()
+    print(f"dropped {count} manifest record(s) from {target}")
+    return 0
 
-    path = args.manifest_path or telemetry.DEFAULT_MANIFEST_PATH
 
-    if args.telemetry_command == "clear":
-        from pathlib import Path
+def _cmd_telemetry_validate(args: argparse.Namespace) -> int:
+    records = telemetry.read_manifests(args.manifest_path)
+    bad = 0
+    for i, record in enumerate(records):
+        problems = telemetry.validate_record(record)
+        if problems:
+            bad += 1
+            print(f"record {i}: {'; '.join(problems)}", file=sys.stderr)
+    print(f"{len(records)} record(s), {len(records) - bad} valid, {bad} invalid")
+    return 1 if bad else 0
 
-        target = Path(path)
-        count = len(telemetry.read_manifests(target))
-        if target.exists():
-            target.unlink()
-        print(f"dropped {count} manifest record(s) from {target}")
-        return 0
 
-    records = telemetry.read_manifests(path)
-
-    if args.telemetry_command == "validate":
-        bad = 0
-        for i, record in enumerate(records):
-            problems = telemetry.validate_record(record)
-            if problems:
-                bad += 1
-                print(f"record {i}: {'; '.join(problems)}", file=sys.stderr)
-        print(f"{len(records)} record(s), {len(records) - bad} valid, {bad} invalid")
-        return 1 if bad else 0
-
-    # ``manifests``: the durable perf trajectory, newest last
+def _cmd_telemetry_manifests(args: argparse.Namespace) -> int:
+    """The durable perf trajectory, newest last; the JSON view is raw."""
+    path = args.manifest_path
+    records = (telemetry.read_manifests if args.json else _valid_records)(path)
     records = records[-args.last :] if args.last > 0 else records
     if args.json:
         for record in records:
@@ -1114,21 +1083,17 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         return 0
     rows = []
     for record in records:
-        created = time.strftime(
-            "%Y-%m-%d %H:%M:%S", time.localtime(record.get("created_unix", 0))
-        )
-        results: Mapping[str, Any] = record.get("results", {})
-        slowdown = results.get("slowdown")
+        slowdown = record["results"].get("slowdown")
         rows.append(
             [
-                created,
-                record.get("kind", "?"),
-                record.get("name", "?"),
-                record.get("config_hash", "?")[:8],
-                record.get("seed", 0),
-                f"{record.get('wall_clock_secs', 0.0):.2f}s",
+                _created(record),
+                record["kind"],
+                record["name"],
+                record["config_hash"][:8],
+                record["seed"],
+                f"{record['wall_clock_secs']:.2f}s",
                 f"{slowdown:.2f}x" if isinstance(slowdown, (int, float)) else "-",
-                record.get("git_version", "?"),
+                record["git_version"],
             ]
         )
     print(
@@ -1141,15 +1106,15 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_farm(args: argparse.Namespace) -> int:
-    from repro.farm import DEFAULT_CACHE_DIR, ResultCache
+def _cmd_farm_clear(args: argparse.Namespace) -> int:
+    cache = ResultCache(args.cache_dir)
+    dropped = cache.clear()
+    print(f"dropped {dropped} cached result(s) from {cache.directory}/")
+    return 0
 
-    cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    if args.farm_command == "clear":
-        dropped = cache.clear()
-        print(f"dropped {dropped} cached result(s) from {cache.directory}/")
-        return 0
 
+def _cmd_farm_stats(args: argparse.Namespace) -> int:
+    cache = ResultCache(args.cache_dir)
     stats = cache.read_stats()
     per_measure: dict[str, int] = {}
     for entry in cache.entries():
@@ -1182,43 +1147,46 @@ def _cmd_farm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_streams(args: argparse.Namespace) -> int:
-    from repro.streams import StreamSession, StreamStore
-    from repro.streams.store import DEFAULT_STORE_DIR
+def _total_refs(args: argparse.Namespace) -> int:
+    """The reference budget: ``--refs`` when given, else ``--budget``'s."""
+    return args.refs if args.refs is not None else BUDGET_REFS[args.budget]
 
-    store = StreamStore(args.stream_dir or DEFAULT_STORE_DIR)
 
-    if args.streams_command == "clear":
-        dropped = store.clear()
-        print(f"dropped {dropped} compiled stream(s) from {store.directory}/")
-        return 0
+def _cmd_streams_clear(args: argparse.Namespace) -> int:
+    store = StreamStore(args.stream_dir)
+    dropped = store.clear()
+    print(f"dropped {dropped} compiled stream(s) from {store.directory}/")
+    return 0
 
-    if args.streams_command == "warm":
-        refs = args.refs if args.refs is not None else BUDGET_REFS[args.budget]
-        names = WORKLOAD_NAMES if args.workload == "all" else [args.workload]
-        session = StreamSession(store=store)
-        compiled = 0
-        for name in names:
-            spec = get_workload(name)
-            compiled += session.precompile(spec, refs)
-            if args.data:
-                compiled += session.precompile(
-                    spec, refs, include_data_refs=True
-                )
-        stats = store.stats()
-        print(
-            f"warmed {len(names)} workload(s) at {refs:,} refs: "
-            f"{compiled} stream(s) compiled, "
-            f"{session.memo_hits + store.hits} reused"
-        )
-        print(
-            f"store now holds {stats['blobs']} blob(s), "
-            f"{stats['blob_bytes'] / 1e6:.1f} MB"
-        )
-        return 0
 
-    # ``stats``
+def _cmd_streams_warm(args: argparse.Namespace) -> int:
+    store = StreamStore(args.stream_dir)
+    refs = _total_refs(args)
+    names = WORKLOAD_NAMES if args.workload == "all" else [args.workload]
+    session = StreamSession(store=store)
+    compiled = 0
+    for name in names:
+        spec = get_workload(name)
+        compiled += session.precompile(spec, refs)
+        if args.data:
+            compiled += session.precompile(
+                spec, refs, include_data_refs=True
+            )
     stats = store.stats()
+    print(
+        f"warmed {len(names)} workload(s) at {refs:,} refs: "
+        f"{compiled} stream(s) compiled, "
+        f"{session.memo_hits + store.hits} reused"
+    )
+    print(
+        f"store now holds {stats['blobs']} blob(s), "
+        f"{stats['blob_bytes'] / 1e6:.1f} MB"
+    )
+    return 0
+
+
+def _cmd_streams_stats(args: argparse.Namespace) -> int:
+    stats = StreamStore(args.stream_dir).stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -1230,35 +1198,15 @@ def _cmd_streams(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_geometry(args: argparse.Namespace) -> tuple[int, int]:
-    """Resolve (total_refs, interval_refs) from a sample subcommand."""
-    from repro.experiments.table7 import default_interval_refs
-
-    total_refs = args.refs if args.refs is not None else BUDGET_REFS[args.budget]
-    interval_refs = (
-        args.interval_refs
-        if args.interval_refs is not None
-        else default_interval_refs(total_refs)
-    )
-    return total_refs, interval_refs
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     """One-pass grid sweep: one cached farm job, every cell's misses."""
-    from repro._types import Indexing
-    from repro.caches.config import GridConfig
-    from repro.caches.gridsweep import grid_job, grid_rows
-    from repro.farm import Farm, FarmConfig
-
     grid = GridConfig(
         set_counts=tuple(args.sets),
         ways=tuple(args.ways),
         line_bytes=args.line,
         indexing=Indexing(args.indexing),
     )
-    total_refs = (
-        args.refs if args.refs is not None else BUDGET_REFS[args.budget]
-    )
+    total_refs = _total_refs(args)
     with _sessions(args) as scope:
         started = time.perf_counter()
         farm = Farm(
@@ -1341,84 +1289,98 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.sample_command == "stats":
-        return _cmd_sample_stats(args)
+def _sample_profile(args: argparse.Namespace):
+    """The per-interval profile a ``sample`` subcommand works from."""
+    from repro.experiments.table7 import default_interval_refs
+    from repro.sampling import profile_workload
 
-    from repro.sampling import FEATURE_NAMES, build_plan, profile_workload
-
-    total_refs, interval_refs = _sample_geometry(args)
-    spec = get_workload(args.workload)
+    total_refs = _total_refs(args)
+    interval_refs = (
+        args.interval_refs
+        if args.interval_refs is not None
+        else default_interval_refs(total_refs)
+    )
     with _sessions(args):
-        profile = profile_workload(spec, total_refs, interval_refs)
-        if args.sample_command == "profile":
-            if args.json:
-                print(json.dumps(
-                    {
-                        "workload": profile.workload,
-                        "task": profile.task,
-                        "total_refs": profile.total_refs,
-                        "interval_refs": profile.interval_refs,
-                        "n_intervals": profile.n_intervals,
-                        "features": profile.rows(),
-                    },
-                    indent=2, sort_keys=True,
-                ))
-                return 0
-            rows = [
-                [i] + [f"{row[name]:.4f}" for name in FEATURE_NAMES]
-                for i, row in enumerate(profile.rows())
-            ]
-            print(format_table(
-                ["Interval", *FEATURE_NAMES],
-                rows,
-                title=(
-                    f"{spec.name}: {profile.n_intervals} intervals of "
-                    f"{profile.interval_refs:,} refs"
-                ),
-            ))
-            return 0
-
-        # ``plan``
-        plan = build_plan(
-            profile,
-            max_phases=args.max_phases,
-            per_phase=args.per_phase,
-            seed=args.seed,
+        return profile_workload(
+            get_workload(args.workload), total_refs, interval_refs
         )
-        if args.out:
-            _write_or_print(args.out, plan.dumps())
-        if args.json:
-            if args.out != "-":
-                print(plan.dumps())
-            return 0
-        sizes = plan.phase_sizes()
-        rows = [
-            [
-                s.interval,
-                s.phase,
-                s.role,
-                sizes[s.phase],
-                f"{plan.start_of(s.interval):,}",
-            ]
-            for s in plan.samples
-        ]
-        print(format_table(
-            ["Interval", "Phase", "Role", "Phase size", "Start ref"],
-            rows,
-            title=(
-                f"{spec.name}: {plan.n_phases} phase(s), "
-                f"{len(plan.samples)}/{plan.n_intervals} intervals selected "
-                f"({plan.selection_fraction:.0%} of the stream)"
-            ),
+
+
+def _cmd_sample_profile(args: argparse.Namespace) -> int:
+    from repro.sampling import FEATURE_NAMES
+
+    profile = _sample_profile(args)
+    if args.json:
+        print(json.dumps(
+            {
+                "workload": profile.workload,
+                "task": profile.task,
+                "total_refs": profile.total_refs,
+                "interval_refs": profile.interval_refs,
+                "n_intervals": profile.n_intervals,
+                "features": profile.rows(),
+            },
+            indent=2, sort_keys=True,
         ))
         return 0
+    rows = [
+        [i] + [f"{row[name]:.4f}" for name in FEATURE_NAMES]
+        for i, row in enumerate(profile.rows())
+    ]
+    print(format_table(
+        ["Interval", *FEATURE_NAMES],
+        rows,
+        title=(
+            f"{profile.workload}: {profile.n_intervals} intervals of "
+            f"{profile.interval_refs:,} refs"
+        ),
+    ))
+    return 0
+
+
+def _cmd_sample_plan(args: argparse.Namespace) -> int:
+    from repro.sampling import build_plan
+
+    plan = build_plan(
+        _sample_profile(args),
+        max_phases=args.max_phases,
+        per_phase=args.per_phase,
+        seed=args.seed,
+    )
+    if args.out:
+        _write_or_print(args.out, plan.dumps())
+    if args.json:
+        if args.out != "-":
+            print(plan.dumps())
+        return 0
+    sizes = plan.phase_sizes()
+    rows = [
+        [
+            s.interval,
+            s.phase,
+            s.role,
+            sizes[s.phase],
+            f"{plan.start_of(s.interval):,}",
+        ]
+        for s in plan.samples
+    ]
+    print(format_table(
+        ["Interval", "Phase", "Role", "Phase size", "Start ref"],
+        rows,
+        title=(
+            f"{args.workload}: {plan.n_phases} phase(s), "
+            f"{len(plan.samples)}/{plan.n_intervals} intervals selected "
+            f"({plan.selection_fraction:.0%} of the stream)"
+        ),
+    ))
+    return 0
 
 
 def _cmd_sample_stats(args: argparse.Namespace) -> int:
-    """Summarize every sampled-run estimate recorded in the manifest log."""
-    path = args.manifest_path or telemetry.DEFAULT_MANIFEST_PATH
-    records = telemetry.read_manifests(path)
+    """Summarize every sampled-run estimate recorded in the manifest log;
+    the JSON view is raw."""
+    path = args.manifest_path
+    records = (telemetry.read_manifests if args.json else _valid_records)(path)
     sampled = [r for r in records if isinstance(r.get("estimates"), dict)]
     if args.json:
         print(json.dumps(
@@ -1439,22 +1401,19 @@ def _cmd_sample_stats(args: argparse.Namespace) -> int:
         return 0
     rows = []
     for record in sampled:
-        created = time.strftime(
-            "%Y-%m-%d %H:%M:%S", time.localtime(record.get("created_unix", 0))
-        )
         for metric, entry in sorted(record["estimates"].items()):
-            value = entry.get("value", 0.0)
-            half = (entry.get("ci_high", 0.0) - entry.get("ci_low", 0.0)) / 2
+            value = entry["value"]
+            half = (entry["ci_high"] - entry["ci_low"]) / 2
             half_pct = 100.0 * half / abs(value) if value else 0.0
             rows.append(
                 [
-                    created,
-                    record.get("name", "?"),
+                    _created(record),
+                    record["name"],
                     metric,
                     f"{value:,.1f}",
                     f"±{half_pct:.1f}%",
-                    entry.get("method", "?"),
-                    "yes" if entry.get("exact") else "no",
+                    entry["method"],
+                    "yes" if entry["exact"] else "no",
                 ]
             )
     print(format_table(
@@ -1465,15 +1424,15 @@ def _cmd_sample_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import default_plan, load_plan
+def _cmd_chaos_plan(args: argparse.Namespace) -> int:
+    print(faults.default_plan().dumps())
+    return 0
+
+
+def _cmd_chaos_run(args: argparse.Namespace) -> int:
     from repro.faults.chaos import DEFAULT_CHAOS_REFS, run_chaos
 
-    if args.chaos_command == "plan":
-        print(default_plan().dumps())
-        return 0
-
-    plan = load_plan(args.plan) if args.plan else default_plan()
+    plan = faults.load_plan(args.plan) if args.plan else faults.default_plan()
     report = run_chaos(
         plan,
         workload=args.workload,
@@ -1508,10 +1467,6 @@ def _print_gc_summary(summary: dict[str, Any]) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.farm import FarmConfig, FarmService, ServiceConfig
-    from repro.farm.jobs import Job
-    from repro.farm.pool import DEFAULT_CACHE_DIR
-
     params: dict[str, Any] = {}
     if args.params:
         try:
@@ -1524,10 +1479,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
     service = FarmService(
         ServiceConfig(
-            farm=FarmConfig(
-                max_workers=args.jobs,
-                cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
-            ),
+            farm=FarmConfig(max_workers=args.jobs, cache_dir=args.cache_dir),
             cache_budget_bytes=args.cache_budget,
             stream_dir=args.stream_dir,
             shard=args.shard,
@@ -1582,58 +1534,48 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    import dataclasses
+def _cmd_jobs_gc(args: argparse.Namespace) -> int:
+    collector = CacheGC(args.cache_budget, pins=journal_pins(args.cache_dir))
+    collector.collect(
+        farm_dir=args.cache_dir,
+        stream_dir=args.stream_dir,
+        shard=args.shard,
+    )
+    summary = collector.summary()
+    if args.json:
+        print(json.dumps(summary, indent=2, sort_keys=True))
+    else:
+        _print_gc_summary(summary)
+    return 0
 
-    from repro.farm.pool import DEFAULT_CACHE_DIR
 
-    cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    if args.jobs_command == "gc":
-        from repro.farm.gc import CacheGC, journal_pins
-
-        collector = CacheGC(args.cache_budget, pins=journal_pins(cache_dir))
-        collector.collect(
-            farm_dir=cache_dir,
-            stream_dir=args.stream_dir,
-            shard=args.shard,
+def _cmd_jobs_retry(args: argparse.Namespace) -> int:
+    service = FarmService(
+        ServiceConfig(
+            farm=FarmConfig(max_workers=1, cache_dir=args.cache_dir)
         )
-        summary = collector.summary()
-        if args.json:
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        else:
-            _print_gc_summary(summary)
-        return 0
-
-    if args.jobs_command == "retry":
-        from repro.farm import FarmConfig, FarmService, ServiceConfig
-
-        service = FarmService(
-            ServiceConfig(
-                farm=FarmConfig(max_workers=1, cache_dir=cache_dir)
-            )
+    )
+    requeued = 0
+    for entry in service.journal.entries():
+        if entry.state in ("failed", "poisoned"):
+            service.journal.requeue(entry.key)
+            requeued += 1
+    report = service.resume()
+    report["requeued"] = requeued
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(
+            f"retry         : {requeued} requeued — "
+            f"{report['reconciled']} reconciled from cache, "
+            f"{report['executed']} re-executed, "
+            f"{report['unreplayable']} unreplayable"
         )
-        requeued = 0
-        for entry in service.journal.entries():
-            if entry.state in ("failed", "poisoned"):
-                service.journal.requeue(entry.key)
-                requeued += 1
-        report = service.resume()
-        report["requeued"] = requeued
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(
-                f"retry         : {requeued} requeued — "
-                f"{report['reconciled']} reconciled from cache, "
-                f"{report['executed']} re-executed, "
-                f"{report['unreplayable']} unreplayable"
-            )
-        return 0
+    return 0
 
-    from repro.farm import JobJournal
-    from repro.farm.service import journal_rows
 
-    journal = JobJournal(cache_dir)
+def _cmd_jobs_list(args: argparse.Namespace) -> int:
+    journal = JobJournal(args.cache_dir)
     entries = journal.entries()
     if args.state:
         entries = [e for e in entries if e.state == args.state]
@@ -1646,7 +1588,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         )
         return 0
     if not entries:
-        print(f"journal is empty ({cache_dir}/)")
+        print(f"journal is empty ({args.cache_dir}/)")
         return 0
     print(journal_rows(entries))
     counts = journal.counts()
@@ -1681,8 +1623,6 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Stack-distance locality profile per task stream — the calibration
     view used to fit the workloads to Table 6."""
-    from repro.caches.stack import StackSimulator
-
     spec = get_workload(args.workload)
     sizes_kb = (1, 4, 16, 64)
     rows = []
@@ -1738,24 +1678,8 @@ def _cmd_assess_port(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "trace": _cmd_trace,
-        "reproduce": _cmd_reproduce,
-        "workloads": _cmd_workloads,
-        "profile": _cmd_profile,
-        "assess-port": _cmd_assess_port,
-        "farm": _cmd_farm,
-        "streams": _cmd_streams,
-        "sweep": _cmd_sweep,
-        "sample": _cmd_sample,
-        "telemetry": _cmd_telemetry,
-        "chaos": _cmd_chaos,
-        "serve": _cmd_serve,
-        "jobs": _cmd_jobs,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -595,3 +595,184 @@ class TestObservabilityCommands:
             k.startswith(("profile.", "farm.worker.profile."))
             for k in metrics
         )
+
+
+class TestServiceCommands:
+    """``serve``, ``jobs list|retry|gc`` and ``farm clear`` on one
+    three-job journaled batch of the chaos probe."""
+
+    SERVE = ["serve", "--seeds", "3", "--jobs", "1", "--cache-dir", "svc"]
+
+    @pytest.fixture(autouse=True)
+    def _batch(self, capsys):
+        assert main(self.SERVE) == 0
+        self.serve_out = capsys.readouterr().out
+
+    def test_serve_prints_the_batch_values(self):
+        assert "values        : [1.0, 5.0, 11.0]" in self.serve_out
+
+    def test_jobs_list_shows_every_job_done(self, capsys):
+        assert main(["jobs", "list", "--cache-dir", "svc"]) == 0
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if "chaos.probe" in line
+        ]
+        assert [row[1] for row in rows] == ["done"] * 3
+
+    def test_jobs_retry_requeues_nothing_after_a_clean_batch(self, capsys):
+        assert main(["jobs", "retry", "--cache-dir", "svc", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["requeued"] == 0
+
+    def test_jobs_gc_at_zero_budget_evicts_every_result(self, capsys):
+        code = main(
+            ["jobs", "gc", "--cache-budget", "0", "--cache-dir", "svc",
+             "--json"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["evicted"] == 3
+
+    def test_farm_clear_reports_what_it_dropped(self, capsys):
+        assert main(["farm", "clear", "--cache-dir", "svc"]) == 0
+        assert (
+            "dropped 3 cached result(s) from svc/"
+            in capsys.readouterr().out
+        )
+
+
+class TestSampleCommands:
+    ARGS = ["--workload", "espresso", "--budget", "tiny", "--json"]
+
+    def test_profile_json(self, capsys):
+        assert main(["sample", "profile", *self.ARGS]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "workload", "task", "total_refs", "interval_refs",
+            "n_intervals", "features",
+        }
+        assert payload["workload"] == "espresso"
+        assert len(payload["features"]) == payload["n_intervals"]
+
+    def test_plan_json(self, capsys):
+        assert main(["sample", "plan", *self.ARGS]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("n_intervals", "n_phases", "labels", "samples", "seed"):
+            assert key in payload
+        assert len(payload["labels"]) == payload["n_intervals"]
+
+    def test_stats_lists_a_sampled_record(self, capsys):
+        from repro import telemetry
+
+        telemetry.write_manifest(
+            telemetry.RunManifest(
+                kind="experiment",
+                name="table7",
+                configuration="budget=tiny, interval-sampled",
+                config_hash="0" * 16,
+                estimates={
+                    "espresso.misses": {
+                        "value": 200.0, "ci_low": 190.0, "ci_high": 210.0,
+                        "method": "stratified", "exact": False,
+                    }
+                },
+            )
+        )
+        assert main(["sample", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "Sampled-run estimates" in out
+        assert "espresso.misses" in out
+        assert "±5.0%" in out
+
+
+#: every parser that takes ``--refs``, with what else it needs to parse
+REFS_COMMANDS = [
+    ["run"],
+    ["trace"],
+    ["profile", "espresso"],
+    ["chaos", "run"],
+    ["streams", "warm", "--workload", "espresso", "--stream-dir", "store"],
+    ["sample", "profile"],
+    ["sample", "plan"],
+    ["sweep", "grid"],
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command", REFS_COMMANDS, ids=" ".join)
+def test_refs_must_be_positive(command, value, tmp_path, capsys):
+    """A non-positive ``--refs`` is a usage error on every command, and
+    it is caught before any store, session or farm is touched."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--refs", value])
+    assert exc.value.code == 2
+    assert "--refs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestMalformedInputs:
+    """Commands that read user files name bad records instead of
+    dying in a traceback."""
+
+    def _valid_record(self, **changes):
+        from repro import telemetry
+
+        record = telemetry.RunManifest(
+            kind="experiment",
+            name="table7",
+            configuration="budget=tiny, interval-sampled",
+            config_hash="0" * 16,
+            estimates={
+                "misses": {
+                    "value": 100.0, "ci_low": 90.0, "ci_high": 110.0,
+                    "method": "stratified", "exact": False,
+                }
+            },
+        ).record()
+        record.update(changes)
+        return record
+
+    def _write_log(self, tmp_path, *records):
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return str(log)
+
+    def test_manifests_skips_invalid_records(self, tmp_path, capsys):
+        log = self._write_log(
+            tmp_path,
+            {"name": "x", "created_unix": "yesterday"},
+            self._valid_record(),
+        )
+        assert main(["telemetry", "manifests", "--manifest-path", log]) == 0
+        captured = capsys.readouterr()
+        assert "table7" in captured.out
+        assert "skipped 1" in captured.err
+        assert "repro telemetry validate" in captured.err
+
+    def test_sample_stats_skips_invalid_estimates(self, tmp_path, capsys):
+        bad = self._valid_record()
+        bad["estimates"]["misses"]["value"] = "lots"
+        log = self._write_log(tmp_path, bad, self._valid_record(name="ok"))
+        assert main(["sample", "stats", "--manifest-path", log]) == 0
+        captured = capsys.readouterr()
+        assert "±10.0%" in captured.out
+        assert "lots" not in captured.out
+        assert "skipped 1" in captured.err
+        assert "repro telemetry validate" in captured.err
+
+    def test_telemetry_top_renders_only_numbers(self, tmp_path, capsys):
+        metrics = tmp_path / "m.json"
+        metrics.write_text(json.dumps({"a": "x", "b": 2}))
+        assert main(["telemetry", "top", "--metrics", str(metrics)]) == 0
+        rows = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()[1:]
+            if line.strip()
+        ]
+        assert "b" in rows
+        assert "a" not in rows
+
+    def test_trace_merge_rejects_a_non_object(self, tmp_path, capsys):
+        trace = tmp_path / "t.json"
+        trace.write_text("[1, 2]")
+        assert main(["trace", "merge", str(trace)]) == 2
+        assert str(trace) in capsys.readouterr().err
