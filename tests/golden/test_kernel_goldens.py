@@ -12,9 +12,12 @@ on fixed seeded multi-tid streams when it was blessed.
   associativity {0,2,4} x the same policies x page size {4K, 16K};
 * ``GridSweepSimulator`` miss counts and histograms, both indexings;
 * ``MultiSizeDMSweep`` misses;
-* two short ``run_trap_driven`` trials, which exercise the CPU's trap
-  scan: sdet on a 4 KB direct-mapped cache, and xlisp on a 64-entry
-  TLB with data references.
+* short ``run_trap_driven`` trials, which exercise the CPU's trap
+  delivery: sdet on a 4 KB direct-mapped cache (the batched path), and
+  on the per-trap path sdet at 2/4/8 ways x {lru, fifo, random}, on a
+  virtually indexed direct-mapped cache and on a two-level L1/L2, plus
+  xlisp with data references on a 64-entry TLB and on a 16-entry 2-way
+  TLB with 16 KB pages and 1/2 set sampling.
 
 After an intentional change, rewrite the file with::
 
@@ -170,18 +173,54 @@ def _trial(program: str, tw_config, options: RunOptions) -> dict:
 
 
 def _trial_goldens() -> dict:
-    return {
+    sdet = RunOptions(total_refs=30_000, trial_seed=1)
+    xlisp = RunOptions(total_refs=30_000, trial_seed=4, include_data_refs=True)
+    trials = {
         "sdet-4K-dm": _trial(
-            "sdet",
-            TapewormConfig(cache=CacheConfig(size_bytes=4096)),
-            RunOptions(total_refs=30_000, trial_seed=1),
+            "sdet", TapewormConfig(cache=CacheConfig(size_bytes=4096)), sdet
         ),
         "xlisp-tlb64-data": _trial(
             "xlisp",
             TapewormConfig(structure="tlb", tlb=TLBConfig(n_entries=64)),
-            RunOptions(total_refs=30_000, trial_seed=4, include_data_refs=True),
+            xlisp,
+        ),
+        "sdet-4K-dm-virtual": _trial(
+            "sdet",
+            TapewormConfig(
+                cache=CacheConfig(size_bytes=4096, indexing=Indexing.VIRTUAL)
+            ),
+            sdet,
+        ),
+        "sdet-L1-4K-L2-16K": _trial(
+            "sdet",
+            TapewormConfig(
+                structure="two_level",
+                cache=CacheConfig(size_bytes=4096),
+                l2=CacheConfig(size_bytes=16384, associativity=2),
+            ),
+            sdet,
+        ),
+        "xlisp-tlb16-2way-16K-sampled-data": _trial(
+            "xlisp",
+            TapewormConfig(
+                structure="tlb",
+                tlb=TLBConfig(n_entries=16, associativity=2, page_bytes=16384),
+                sampling=2,
+            ),
+            xlisp,
         ),
     }
+    for ways in (2, 4, 8):
+        for policy_name in POLICIES:
+            trials[f"sdet-4K-{ways}way-{policy_name}"] = _trial(
+                "sdet",
+                TapewormConfig(
+                    cache=CacheConfig(size_bytes=4096, associativity=ways),
+                    replacement=policy_name,
+                ),
+                sdet,
+            )
+    return trials
 
 
 def compute() -> dict:
