@@ -9,13 +9,20 @@ underlying hardware to filter out hits in the simulated cache structure."
 
 Correct in-order delivery matters: a miss handler *sets* a trap on the
 displaced line, and if that line is referenced again later in the same
-chunk the hardware must trap there too.  The engine therefore keeps a heap
-of candidate chunk positions; after every handled trap it drains the
-ECC controller's / page table's log of newly trapped locations and pushes
-any later occurrences of them back onto the heap.  Every candidate is
-re-checked against live trap state before dispatch, so stale candidates
-(cleared by an earlier handler) are skipped.  The result is bit-identical
-to a reference-at-a-time simulation, at numpy chunk speed.
+chunk the hardware must trap there too.  The engine therefore keeps a
+heap that holds, for each trapped location (an ECC granule or a VPN),
+only that location's next occurrence in the segment.  It is seeded with
+every trapped location's first occurrence (and every breakpoint hit).
+After each queued position it adds the next occurrence of every
+location a handler newly trapped — drained from the ECC controller's /
+page table's logs — and of the position's own granule and VPN if they
+are still trapped.  A later reference can trap only if its location is
+trapped when it is reached, and that happens in exactly those three
+ways, so no trap is missed; every queued position is re-checked against
+live trap state before dispatch.  The heap's pops scale with the traps
+delivered, not with the references that were candidates at segment
+start, and the result is bit-identical to a reference-at-a-time
+simulation, at numpy chunk speed (``docs/INTERNALS.md`` §4).
 
 When ECC is the only trap source, a segment is first offered whole to
 the trap vector's batch handler, which may deliver all of its traps as
@@ -25,8 +32,8 @@ declines (``docs/INTERNALS.md``, "Batched trap delivery").
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -195,24 +202,21 @@ class CPU:
             TrapMechanism.BREAKPOINT in mechanisms
             and machine.breakpoints.n_active() > 0
         )
-        # One candidate mask per active mechanism.  Each is a fresh array
-        # (fancy indexing / elementwise ops), so OR-ing into the first
-        # mutates no trap state.
+        # One candidate mask per active mechanism, None when inactive.
         granules = pas >> GRANULE_SHIFT if use_ecc else None
-        masks = []
-        if use_ecc:
-            masks.append(machine.ecc.granule_trapped[granules])
-        if use_pages:
-            masks.append(table.resident[vpns] & ~table.valid[vpns])
-        if use_breakpoints:
-            masks.append(machine.breakpoints.check_chunk(vas))
-        if not masks:
-            return  # no trap mechanism active: no candidates exist
-        candidate_mask = masks[0]
-        for mask in masks[1:]:
-            candidate_mask |= mask
-        if not candidate_mask.any():
-            return
+        ecc_mask = machine.ecc.granule_trapped[granules] if use_ecc else None
+        page_mask = (
+            table.resident[vpns] & ~table.valid[vpns] if use_pages else None
+        )
+        breakpoint_mask = (
+            machine.breakpoints.check_chunk(vas) if use_breakpoints else None
+        )
+        if not (
+            (use_ecc and ecc_mask.any())
+            or (use_pages and page_mask.any())
+            or (use_breakpoints and breakpoint_mask.any())
+        ):
+            return  # no trap candidates
         if (
             use_ecc
             and not use_pages
@@ -230,7 +234,7 @@ class CPU:
                     cycle=machine.clock.now,
                     vas=vas,
                     pas=pas,
-                    candidates=candidate_mask,
+                    candidates=ecc_mask,
                 )
             )
             if batch is not None:
@@ -239,8 +243,8 @@ class CPU:
                 return
         machine.dispatcher.segments["per_trap"] += 1
         self._process_candidates(
-            ctx, table, vas, vpns, pas, granules, candidate_mask,
-            result, use_ecc, use_pages, use_breakpoints, writes,
+            ctx, table, vas, vpns, pas, granules,
+            ecc_mask, page_mask, breakpoint_mask, result, writes,
         )
 
     def _process_candidates(
@@ -251,60 +255,82 @@ class CPU:
         vpns: np.ndarray,
         pas: np.ndarray,
         granules: np.ndarray | None,
-        candidate_mask: np.ndarray,
+        ecc_mask: np.ndarray | None,
+        page_mask: np.ndarray | None,
+        breakpoint_mask: np.ndarray | None,
         result: ChunkResult,
-        use_ecc: bool,
-        use_pages: bool,
-        use_breakpoints: bool,
         writes: np.ndarray | None = None,
     ) -> None:
-        """In-order trap delivery with displaced-line rescans."""
+        """In-order trap delivery, one queued occurrence per trapped
+        location.
+
+        ``ecc_mask`` / ``page_mask`` / ``breakpoint_mask`` flag the
+        positions each active mechanism would trap at segment start
+        (None when the mechanism is off).  The heap holds each trapped
+        location's next occurrence only; see the module docstring for
+        why that queues every reference that traps.
+        """
         machine = self.machine
-        # Stale logs from outside this chunk are irrelevant.
+        ecc = machine.ecc
+        use_ecc = ecc_mask is not None
+        use_pages = page_mask is not None
+        use_breakpoints = breakpoint_mask is not None
+        # Stale logs from outside this segment are irrelevant.
         if use_ecc:
-            machine.ecc.drain_recent_sets()
+            ecc.drain_recent_sets()
         if use_pages:
             table.drain_recent_invalidations()
 
-        heap = [int(i) for i in np.nonzero(candidate_mask)[0]]
-        heapq.heapify(heap)
-        # The PositionIndex behind each binding is built lazily on the
-        # first handler that traps a displaced location — "next
-        # occurrence of this granule/VPN after position i" becomes two
-        # bisects, not an O(chunk) scan.
+        # One PositionIndex per location array, built on first use,
+        # serves the seeds, each position's next occurrence and the
+        # lookups for newly trapped locations.
         granule_rescan = RescanBinding(granules, "granule") if use_ecc else None
         vpn_rescan = RescanBinding(vpns, "vpn") if use_pages else None
+        seeds = []
+        if use_ecc and ecc_mask.any():
+            seeds.append(granule_rescan.first_occurrences(ecc_mask))
+        if use_pages and page_mask.any():
+            seeds.append(vpn_rescan.first_occurrences(page_mask))
+        if use_breakpoints:
+            seeds.append(np.flatnonzero(breakpoint_mask))
+        heap = np.sort(np.concatenate(seeds)).tolist()  # sorted: a heap
         previous = -1
         while heap:
-            i = heapq.heappop(heap)
+            i = heappop(heap)
             if i == previous:
-                continue  # duplicate candidate for the same reference
+                continue  # queued twice for the same reference
             previous = i
-            delivered = False
+            delivered = page_trapped = ecc_trapped = False
 
             # Page-invalid traps fire at translation time, before the
             # memory access, so they take priority over ECC traps.
-            if use_pages and table.is_page_trapped(int(vpns[i])):
-                frame = TrapFrame(
-                    kind=TrapKind.PAGE_INVALID,
-                    tid=ctx.tid,
-                    component=ctx.component,
-                    va=int(vas[i]),
-                    pa=int(pas[i]),
-                    cycle=machine.clock.now,
-                )
-                result.sim_cycles += machine.dispatcher.dispatch(frame)
-                result.traps += 1
-                delivered = True
+            if use_pages:
+                vpn = int(vpns[i])
+                page_trapped = table.is_page_trapped(vpn)
+                if page_trapped:
+                    frame = TrapFrame(
+                        kind=TrapKind.PAGE_INVALID,
+                        tid=ctx.tid,
+                        component=ctx.component,
+                        va=int(vas[i]),
+                        pa=int(pas[i]),
+                        cycle=machine.clock.now,
+                    )
+                    result.sim_cycles += machine.dispatcher.dispatch(frame)
+                    result.traps += 1
+                    delivered = True
 
-            if use_ecc and machine.ecc.granule_trapped[granules[i]]:
+            if use_ecc:
+                granule = granules[i]
+                ecc_trapped = bool(ecc.granule_trapped[granule])
+            if ecc_trapped:
                 is_write = writes is not None and bool(writes[i])
                 if is_write and not machine.config.allocate_on_write:
                     # the store overwrites the word, regenerating correct
                     # ECC: the trap evaporates with no kernel entry — the
                     # no-allocate-on-write mechanism that defeats D-cache
                     # simulation on this machine (section 4.4)
-                    machine.ecc.clear_trap(
+                    ecc.clear_trap(
                         int(pas[i]) & ~(GRANULE_BYTES - 1), GRANULE_BYTES
                     )
                     result.silent_clears += 1
@@ -340,19 +366,30 @@ class CPU:
                 result.traps += 1
                 delivered = True
 
-            if not delivered:
-                continue
-
-            # A handler may have set traps on displaced locations that
-            # occur later in this very chunk; queue those positions.
-            if use_ecc:
-                for granule in machine.ecc.drain_recent_sets():
-                    for pos in granule_rescan.occurrences_after(granule, i):
-                        heapq.heappush(heap, int(pos))
-            if use_pages:
-                for vpn in table.drain_recent_invalidations():
-                    for pos in vpn_rescan.occurrences_after(vpn, i):
-                        heapq.heappush(heap, int(pos))
+            # Only a handler sets traps: queue the next occurrence
+            # after i of every location it trapped.
+            if delivered:
+                if use_ecc:
+                    for trapped in ecc.drain_recent_sets():
+                        later = granule_rescan.occurrences_after(trapped, i)
+                        if len(later):
+                            heappush(heap, int(later[0]))
+                if use_pages:
+                    for trapped in table.drain_recent_invalidations():
+                        later = vpn_rescan.occurrences_after(trapped, i)
+                        if len(later):
+                            heappush(heap, int(later[0]))
+            # A location trapped here that still is (a masked interrupt,
+            # a dropped clear, a restored true-error trap, a handler that
+            # leaves it) traps at its next occurrence too: queue that.
+            if ecc_trapped and ecc.granule_trapped[granule]:
+                later = granule_rescan.next_occurrence(i)
+                if later >= 0:
+                    heappush(heap, later)
+            if page_trapped and table.is_page_trapped(vpn):
+                later = vpn_rescan.next_occurrence(i)
+                if later >= 0:
+                    heappush(heap, later)
 
     # ------------------------------------------------------------------
 

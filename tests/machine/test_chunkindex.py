@@ -1,10 +1,15 @@
-"""PositionIndex: the trap-rescan index must equal the linear scan."""
+"""PositionIndex: the trap-rescan index must equal the linear scan.
+
+Every answer the chunk engine reads off the index — later occurrences
+of a value, each value's first occurrence, each position's next
+occurrence — is checked against a scan of the array.
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.chunkindex import PositionIndex
+from repro.machine.chunkindex import PositionIndex, RescanBinding
 
 
 def _linear(values: np.ndarray, value: int, position: int) -> list[int]:
@@ -50,3 +55,29 @@ def test_property_index_equals_linear_rescan(values, value, position):
     assert list(index.occurrences_after(value, position)) == _linear(
         array, value, position
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(
+        st.integers(min_value=0, max_value=12), min_size=0, max_size=60
+    )
+)
+def test_property_first_and_next_occurrences_equal_a_scan(values):
+    array = np.asarray(values, dtype=np.int64)
+    index = PositionIndex(array)
+    firsts = {value: values.index(value) for value in set(values)}
+    assert sorted(index.first_occurrences().tolist()) == sorted(firsts.values())
+    for position, value in enumerate(values):
+        later = _linear(array, value, position)
+        assert index.next_occurrence(position) == (later[0] if later else -1)
+
+
+def test_binding_seeds_only_flagged_values():
+    values = np.array([4, 7, 4, 9, 7, 9], dtype=np.int64)
+    trapped = np.isin(values, [7, 9])
+    binding = RescanBinding(values, "granule")
+    assert sorted(binding.first_occurrences(trapped).tolist()) == [1, 3]
+    assert binding.next_occurrence(1) == 4
+    assert binding.next_occurrence(5) == -1
+    assert list(binding.occurrences_after(4, 0)) == [2]
