@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from typing import Any, Mapping
 
 from repro.farm.jobs import canonical
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.base import TaskSpec, WorkloadSpec
 
 #: Salt mixed into every stream key.  Bump the version suffix whenever a
 #: change alters what ``BlockLoopStream``/``MixedStream`` generate for a
@@ -48,16 +49,23 @@ def stream_descriptor(
     spec: WorkloadSpec, task_name: str, include_data_refs: bool
 ) -> dict[str, Any]:
     """The canonical generating spec of one task's reference stream."""
-    task = spec.task(task_name)
+    return _descriptor(
+        spec.name, task_name, spec.task(task_name), include_data_refs
+    )
+
+
+def _descriptor(
+    workload: str, task_name: str, task: TaskSpec, include_data_refs: bool
+) -> dict[str, Any]:
     descriptor: dict[str, Any] = {
-        "workload": spec.name,
+        "workload": workload,
         "task": task_name,
-        "seed": task.stream_seed(spec.name),
+        "seed": task.stream_seed(workload),
         "procedures": canonical(list(task.procedures())),
     }
     if include_data_refs and task.data_shapes:
         descriptor["data_procedures"] = canonical(list(task.data_procedures()))
-        descriptor["data_seed"] = task.stream_seed(spec.name) ^ 0xDA7A
+        descriptor["data_seed"] = task.stream_seed(workload) ^ 0xDA7A
         descriptor["mix"] = list(MIX_GEOMETRY)
     return descriptor
 
@@ -75,12 +83,37 @@ def stream_fingerprint(
     include_data_refs: bool = False,
     salt: str = STREAM_CODE_VERSION,
 ) -> str:
-    """The store key of one ``(workload, task, refs, data?)`` stream."""
+    """The store key of one ``(workload, task, refs, data?)`` stream.
+
+    Memoized: the key is pure in the workload's name, the task's frozen
+    (hashable) :class:`TaskSpec` and the other arguments, and
+    ``StreamSession.stream_for`` asks for it on every trial's every
+    task.  ``WorkloadSpec`` itself holds a dict, so it is no memo key.
+    """
+    return _fingerprint(
+        spec.name,
+        task_name,
+        spec.task(task_name),
+        int(refs),
+        bool(include_data_refs),
+        salt,
+    )
+
+
+@lru_cache(maxsize=4096)
+def _fingerprint(
+    workload: str,
+    task_name: str,
+    task: TaskSpec,
+    refs: int,
+    include_data_refs: bool,
+    salt: str,
+) -> str:
     return fingerprint_payload(
         {
-            "stream": stream_descriptor(spec, task_name, include_data_refs),
-            "refs": int(refs),
-            "include_data_refs": bool(include_data_refs),
+            "stream": _descriptor(workload, task_name, task, include_data_refs),
+            "refs": refs,
+            "include_data_refs": include_data_refs,
             "salt": salt,
         }
     )

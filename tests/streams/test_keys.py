@@ -56,6 +56,24 @@ class TestFingerprint:
         )
 
 
+    def test_memoized_key_is_the_digest_of_the_spec(self):
+        """The memo changes no key: each is still the digest of the
+        generating spec, so blobs stored before it keep matching."""
+        spec = get_workload("xlisp")
+        for task in spec.tasks:
+            for data in (False, True):
+                payload = {
+                    "stream": stream_descriptor(spec, task, data),
+                    "refs": 777,
+                    "include_data_refs": data,
+                    "salt": STREAM_CODE_VERSION,
+                }
+                for _ in range(2):
+                    assert stream_fingerprint(
+                        spec, task, 777, data
+                    ) == fingerprint_payload(payload)
+
+
 class TestDescriptor:
     def test_carries_the_generating_spec(self):
         spec = get_workload("espresso")
