@@ -62,15 +62,28 @@ class TrapPrimitives:
         cache line refills.  This effectively limits the simulation of
         Tapeworm cache line sizes to multiples of 4 words").
         """
-        self._require(TrapMechanism.ECC, "tw_set_trap")
+        self._require_granules(size, "tw_set_trap")
+        self.machine.ecc.set_trap(pa, size)
+        self.set_calls += 1
+
+    def tw_set_traps(self, bases: np.ndarray, size: int) -> None:
+        """``tw_set_trap(base, size)`` for every base, in order, as one
+        ECC write (:meth:`ECCController.set_traps`): the same checks,
+        trap bits and counts.  No bases, no calls."""
+        if not len(bases):
+            return
+        self._require_granules(size, "tw_set_traps")
+        self.machine.ecc.set_traps(bases, size)
+        self.set_calls += len(bases)
+
+    def _require_granules(self, size: int, what: str) -> None:
+        self._require(TrapMechanism.ECC, what)
         if size % GRANULE_BYTES:
             raise UnsupportedStructure(
                 f"trap size {size} is not a multiple of the {GRANULE_BYTES}-"
                 "byte ECC check granule; line sizes must be multiples of "
                 "4 words on this machine"
             )
-        self.machine.ecc.set_trap(pa, size)
-        self.set_calls += 1
 
     def tw_clear_trap(self, pa: int, size: int) -> None:
         """Clear previously set memory traps on ``[pa, pa+size)``."""

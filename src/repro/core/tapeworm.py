@@ -258,16 +258,17 @@ class Tapeworm:
             self._set_page_traps(pa, va)
 
     def _set_page_traps(self, pa: int, va: int) -> None:
-        """Trap every sampled line of one freshly registered page."""
-        line_bytes = self.replacer.line_bytes
-        config = self._cache_config()
+        """Trap every sampled line of one freshly registered page: one
+        set mask over the page's lines, one bulk ECC write."""
         if not self.sampler.is_sampling:
             self.primitives.tw_set_trap(pa, PAGE_SIZE)
             return
+        line_bytes = self.replacer.line_bytes
+        config = self._cache_config()
         index_base = va if config.indexing is Indexing.VIRTUAL else pa
-        for offset in range(0, PAGE_SIZE, line_bytes):
-            if self.sampler.covers_set(config.set_of(index_base + offset)):
-                self.primitives.tw_set_trap(pa + offset, line_bytes)
+        offsets = np.arange(0, PAGE_SIZE, line_bytes, dtype=np.int64)
+        sampled = self.sampler.mask_for_sets(config.set_of(index_base + offsets))
+        self.primitives.tw_set_traps(pa + offsets[sampled], line_bytes)
 
     def _cache_config(self) -> CacheConfig:
         return self.config.cache

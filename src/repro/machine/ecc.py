@@ -198,6 +198,13 @@ class ECCDiagnostic:
         )
 
 
+def _range_granules(bases: np.ndarray, size: int) -> np.ndarray:
+    """The granules of each ``size``-byte range based at ``bases``:
+    range by range, ascending within each."""
+    offsets = np.arange(size // GRANULE_BYTES, dtype=np.int64)
+    return ((bases // GRANULE_BYTES)[:, None] + offsets).ravel()
+
+
 class ECCController:
     """The memory-controller ASIC's diagnostic interface, machine-wide.
 
@@ -246,6 +253,31 @@ class ECCController:
         self._recent_sets.extend(granules)
         self.stats_sets += 1
 
+    def set_traps(self, bases: np.ndarray, size: int) -> None:
+        """:meth:`set_trap` on every ``size``-byte range based at
+        ``bases``, in order, as one bitmap write.
+
+        Every range passes the same range and alignment checks (all of
+        them before any bit is written; the first failing range raises
+        as :meth:`set_trap` would), and the bits, ``stats_sets`` and
+        the recent-set log end as ``len(bases)`` calls leave them.
+        """
+        bases = np.asarray(bases, dtype=np.int64)
+        if not len(bases):
+            return
+        bad = (
+            (bases < 0)
+            | (bases + size > self.memory.size_bytes)
+            | (bases % GRANULE_BYTES != 0)
+        )
+        if size < 1 or size % GRANULE_BYTES or bad.any():
+            self._granule_range(int(bases[int(np.argmax(bad))]), size)
+        granules = _range_granules(bases, size)
+        self._tapeworm[granules] = True
+        self.granule_trapped[granules] = True
+        self._recent_sets.extend(granules.tolist())
+        self.stats_sets += len(bases)
+
     def clear_trap(self, pa: int, size: int) -> None:
         """Restore the Tapeworm check bit for every granule in the range.
 
@@ -277,10 +309,8 @@ class ECCController:
         ``granule_trapped`` false.  Nothing is logged for rescans: the
         batch has already replayed the whole segment.
         """
-        per_range = size // GRANULE_BYTES
-        offsets = np.arange(per_range, dtype=np.int64)
         for bases, value in ((trapped, True), (untrapped, False)):
-            granules = ((bases // GRANULE_BYTES)[:, None] + offsets).ravel()
+            granules = _range_granules(bases, size)
             self._tapeworm[granules] = value
             self.granule_trapped[granules] = value
         self.stats_sets += len(trapped)

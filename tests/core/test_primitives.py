@@ -1,5 +1,6 @@
 """tw_set_trap / tw_clear_trap over both mechanisms."""
 
+import numpy as np
 import pytest
 
 from repro._types import TrapMechanism
@@ -28,6 +29,22 @@ def test_line_size_must_match_ecc_granule(machine):
     primitives = TrapPrimitives(machine, TrapMechanism.ECC)
     with pytest.raises(UnsupportedStructure):
         primitives.tw_set_trap(0x1000, 8)
+
+
+def test_bulk_set_counts_one_call_per_range(machine):
+    primitives = TrapPrimitives(machine, TrapMechanism.ECC)
+    primitives.tw_set_traps(np.array([0x1000, 0x2000, 0x2040]), 64)
+    assert primitives.set_calls == 3
+    assert machine.ecc.stats_sets == 3
+    assert machine.ecc.is_trapped(0x207F)
+    primitives.tw_set_traps(np.empty(0, dtype=np.int64), 8)
+    assert primitives.set_calls == 3
+    with pytest.raises(UnsupportedStructure):
+        primitives.tw_set_traps(np.array([0x1000]), 8)
+    with pytest.raises(TapewormError):
+        TrapPrimitives(machine, TrapMechanism.PAGE_VALID).tw_set_traps(
+            np.array([0x1000]), 16
+        )
 
 
 def test_activate_enables_mechanism(machine):

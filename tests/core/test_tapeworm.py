@@ -289,6 +289,38 @@ class TestSampling:
         sampled_sets = set(tapeworm.sampler.sampled_sets().tolist())
         assert tapeworm.stats.total_misses == len(sampled_sets)
 
+    @pytest.mark.parametrize("indexing", list(Indexing))
+    @pytest.mark.parametrize("line_bytes", [16, 64])
+    def test_page_registration_traps_each_sampled_line(
+        self, indexing, line_bytes
+    ):
+        """Registering a page sets, in one bulk write, exactly what one
+        ``tw_set_trap`` per sampled line would: the bits, the counts and
+        the recent-set log."""
+        kernel = _kernel()
+        config = CacheConfig(
+            size_bytes=4096, line_bytes=line_bytes, indexing=indexing
+        )
+        tapeworm = _install(kernel, cache=config, sampling=4, sampling_seed=3)
+        ecc, primitives = kernel.machine.ecc, tapeworm.primitives
+        ecc.drain_recent_sets()
+        pa, va = 5 * PAGE_SIZE, 9 * PAGE_SIZE
+        tapeworm.tw_register_page(1, pa, va)
+        index_base = va if indexing is Indexing.VIRTUAL else pa
+        lines = [
+            pa + offset
+            for offset in range(0, PAGE_SIZE, line_bytes)
+            if tapeworm.sampler.covers_set(config.set_of(index_base + offset))
+        ]
+        granules = [
+            line // 16 + k for line in lines for k in range(line_bytes // 16)
+        ]
+        assert 0 < len(lines) < PAGE_SIZE // line_bytes
+        assert ecc.drain_recent_sets() == granules
+        assert np.flatnonzero(ecc.granule_trapped).tolist() == granules
+        assert ecc.tapeworm_granules().tolist() == granules
+        assert ecc.stats_sets == primitives.set_calls == len(lines)
+
     def test_estimate_scales_by_denominator(self):
         kernel = _kernel()
         tapeworm = _install(

@@ -117,6 +117,53 @@ def test_recent_sets_log_drains(controller):
     assert controller.drain_recent_sets() == []
 
 
+def _state(controller):
+    return (
+        np.flatnonzero(controller.granule_trapped).tolist(),
+        controller.tapeworm_granules().tolist(),
+        controller.stats_sets,
+        controller.drain_recent_sets(),
+    )
+
+
+@pytest.mark.parametrize("size", [16, 32, 64])
+def test_bulk_set_equals_one_set_per_range(size):
+    memory = PhysicalMemory(64 * 1024)
+    bases = np.array([0x3000, 0x1000, 0x1000 + size, 0x8000], dtype=np.int64)
+    one_by_one, bulk = ECCController(memory), ECCController(memory)
+    for base in bases.tolist():
+        one_by_one.set_trap(base, size)
+    bulk.set_traps(bases, size)
+    assert _state(bulk) == _state(one_by_one)
+    bulk.set_traps(np.empty(0, dtype=np.int64), size)
+    assert bulk.stats_sets == len(bases)
+
+
+@pytest.mark.parametrize(
+    "bases, size",
+    [
+        ([0x1000, 0x1008], 16),  # misaligned range
+        ([0x1000], 8),  # not a whole granule
+        ([0x1000, 64 * 1024 - 16], 32),  # runs past the end of memory
+        ([-16, 0x1000], 16),
+    ],
+)
+def test_bulk_set_checks_every_range_before_writing(bases, size):
+    memory = PhysicalMemory(64 * 1024)
+    controller = ECCController(memory)
+    with pytest.raises(MachineError) as bulk_error:
+        controller.set_traps(np.array(bases, dtype=np.int64), size)
+    first_bad = next(
+        base for base in bases
+        if base < 0 or base + size > memory.size_bytes
+        or base % GRANULE_BYTES or size % GRANULE_BYTES
+    )
+    with pytest.raises(MachineError) as single_error:
+        ECCController(memory).set_trap(first_bad, size)
+    assert str(bulk_error.value) == str(single_error.value)
+    assert _state(controller) == ([], [], 0, [])
+
+
 def test_classify_pure_tapeworm_trap(controller):
     controller.set_trap(0x3000, 16)
     assert controller.classify(0x3000) is TrapClass.TAPEWORM
