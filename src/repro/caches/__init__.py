@@ -15,7 +15,7 @@ from repro.caches.replacement import (
     ReplacementPolicy,
     make_policy,
 )
-from repro.caches.cache import SetAssociativeCache, MissOutcome
+from repro.caches.cache import SetAssociativeCache
 from repro.caches.gridsweep import (
     DistanceHistogram,
     GridSweepReport,
@@ -55,7 +55,6 @@ __all__ = [
     "RandomPolicy",
     "make_policy",
     "SetAssociativeCache",
-    "MissOutcome",
     "KernelProgram",
     "KernelRegistry",
     "cache_kernel",

@@ -2,10 +2,11 @@
 
 The per-reference :class:`~repro.caches.cache.SetAssociativeCache` loop
 is exact but interpreter-bound: every address pays a method call, a
-tuple key, a list search over tuples and a policy dispatch.  This module
-provides the grouped-set alternative the trace-driven drivers run on —
-one vectorized pass per chunk instead of one Python call per address —
-while staying *bit-identical* to the per-reference path.
+list search and a policy dispatch.  This module provides the grouped-set
+alternative the trace-driven drivers run on — one vectorized pass per
+chunk instead of one Python call per address — while staying
+*bit-identical* to the per-reference path.  Both share one key format,
+:func:`pack`.
 
 Why grouping is exact
 ---------------------
@@ -37,11 +38,39 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 #: space id range mixed into packed keys (tids must stay below this)
 MAX_SPACES = 4096
 
 #: replacement policies the grouped kernel can replay exactly
 GROUPABLE_POLICIES = ("lru", "fifo")
+
+
+def pack(line, space):
+    """The key of one simulated-structure entry: ``line * MAX_SPACES +
+    space``.
+
+    ``line`` is a line number (``addr >> line_shift``) or a superpage
+    number; ``space`` is the tid for virtually indexed caches and TLBs
+    and 0 for physical caches.  Works on ints and on int64 arrays.
+    """
+    return line * MAX_SPACES + space
+
+
+def unpack(key):
+    """``(line, space)`` of a packed key (ints or int64 arrays)."""
+    return divmod(key, MAX_SPACES)
+
+
+def check_space(tid: int) -> int:
+    """``tid`` as a packed key's space; a tid outside ``[0,
+    MAX_SPACES)`` would alias another task's entries, so it raises."""
+    if not 0 <= tid < MAX_SPACES:
+        raise ConfigError(
+            f"tid {tid} outside the packed-key space range [0, {MAX_SPACES})"
+        )
+    return tid
 
 
 def dm_grouped_pass(

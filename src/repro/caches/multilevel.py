@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.caches.cache import Key, MissOutcome, SetAssociativeCache
+from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig
 from repro.caches.replacement import ReplacementPolicy
 from repro.errors import ConfigError
@@ -51,7 +51,7 @@ class TwoLevelOutcome:
     l1_hit: bool
     l2_hit: bool
     #: keys that left L1 (need traps under the trap-driven driver)
-    displaced_from_l1: list[Key]
+    displaced_from_l1: list[int]
 
 
 class TwoLevelCache:
@@ -87,22 +87,20 @@ class TwoLevelCache:
     def _fill(self, tid: int, addr: int) -> TwoLevelOutcome:
         """Bring a line missing from L1 into both levels."""
         l2_hit = self.l2.contains(tid, addr)
-        displaced_from_l1: list[Key] = []
+        displaced_from_l1: list[int] = []
         if l2_hit:
             # refresh L2 recency
             self.l2.access(tid, addr)
         else:
             self.l2_misses += 1
-            outcome = self.l2.miss_insert(tid, addr)
-            for victim in outcome.displaced:
-                # inclusion: anything leaving L2 must leave L1 too
-                entries, way = self.l1._locate(victim)
-                if way >= 0:
-                    entries.pop(way)
-                    displaced_from_l1.append(victim)
+            victim = self.l2.miss_insert(tid, addr)
+            # inclusion: anything leaving L2 must leave L1 too
+            if victim is not None and self.l1.remove(victim):
+                displaced_from_l1.append(victim)
         self.l1_misses += 1
-        l1_outcome = self.l1.miss_insert(tid, addr)
-        displaced_from_l1.extend(l1_outcome.displaced)
+        victim = self.l1.miss_insert(tid, addr)
+        if victim is not None:
+            displaced_from_l1.append(victim)
         return TwoLevelOutcome(
             l1_hit=False, l2_hit=l2_hit, displaced_from_l1=displaced_from_l1
         )

@@ -12,10 +12,13 @@ configuration:
 
 A factory validates its configuration, picks the path once and records
 why in a :class:`CapabilityReport`, and returns a :class:`KernelProgram`
-of closures with the geometry bound at build time: the line shift, set
-mask and key packing are cell constants, physical kernels add no space
-term, and a profiling phase timer wraps ``run`` only when profiling was
-on when the kernel was built.  The path rules:
+of closures with the geometry bound at build time: the line shift and
+set mask are cell constants, and a profiling phase timer wraps ``run``
+only when profiling was on when the kernel was built.  Cache and TLB
+kernels replay into the simulated structure passed to ``run`` — its
+packed keys (:func:`~repro.caches.kernels.pack`), its sets and its
+``searches``/``insertions`` counters — exactly as its per-reference
+``access`` would.  The path rules:
 
 * **direct-mapped caches** always take the pure-numpy
   :func:`~repro.caches.kernels.dm_grouped_pass`: the victim is forced,
@@ -30,11 +33,12 @@ on when the kernel was built.  The path rules:
 * **grid** kernels exist for LRU only, whose stack inclusion lets one
   distance pass price every associativity; other policies raise.
 
-Programs hold no simulation state — ``make_state`` creates it per
-simulator — so :class:`KernelRegistry` memoizes one program per
-configuration per process.  Nothing is persisted: a program is a set of
-closures, and rebuilding one costs well under a millisecond.  See
-"Per-configuration kernels" in docs/INTERNALS.md.
+Programs hold no simulation state — the structure passed to ``run``
+does, or for grids the state ``make_state`` creates per simulator — so
+:class:`KernelRegistry` memoizes one program per configuration per
+process.  Nothing is persisted: a program is a set of closures, and
+rebuilding one costs well under a millisecond.  See "Per-configuration
+kernels" in docs/INTERNALS.md.
 """
 
 from __future__ import annotations
@@ -46,16 +50,16 @@ from typing import Callable, Hashable
 import numpy as np
 
 from repro._types import Indexing
-from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig, GridConfig, TLBConfig
 from repro.caches.kernels import (
     GROUPABLE_POLICIES,
-    MAX_SPACES,
+    check_space,
     collapse_consecutive,
     dm_grouped_pass,
     first_touch_mask,
     grouped_distance_pass,
     grouped_stack_pass,
+    pack,
 )
 from repro.caches.replacement import LRUPolicy, ReplacementPolicy, make_policy
 from repro.errors import ConfigError
@@ -84,12 +88,12 @@ class KernelProgram:
     """One configuration's kernel: closures only, no simulation state."""
 
     capabilities: CapabilityReport
-    #: cache/grid: (state, addresses, tid) -> misses;
-    #: tlb: (tlb, tid, vpns) -> misses
+    #: cache: (cache, addresses, tid) -> misses;
+    #: tlb: (tlb, tid, vpns) -> misses;
+    #: grid: (state, addresses, tid) -> references
     run: Callable
+    #: grid kernels: () -> a fresh GridState
     make_state: Callable | None = None
-    resident_keys: Callable | None = None
-    occupancy: Callable | None = None
     #: grid kernels: (state) -> exact per-cell misses + histograms
     extract: Callable | None = None
 
@@ -131,28 +135,6 @@ def _timed(run: Callable, phase_name: str, profile: bool) -> Callable:
     return timed
 
 
-def _space_fn(indexing: Indexing) -> Callable[[int], int]:
-    """tid -> tag space.  Physical kernels have one space, so any tid
-    is accepted; virtual keys pack the tid and need ``tid < MAX_SPACES``."""
-    if indexing is not Indexing.VIRTUAL:
-        return lambda tid: 0
-
-    def space_of(tid: int) -> int:
-        if not 0 <= tid < MAX_SPACES:
-            raise ConfigError(
-                f"tid {tid} outside the fast path's space range "
-                f"[0, {MAX_SPACES})"
-            )
-        return tid
-
-    return space_of
-
-
-def _decode(key: int, line_shift: int) -> tuple[int, int]:
-    space, line = key % MAX_SPACES, key // MAX_SPACES
-    return space, line << line_shift
-
-
 # ---------------------------------------------------------------------------
 # cache kernels
 # ---------------------------------------------------------------------------
@@ -187,63 +169,33 @@ def _build_cache(
         reasons = ("forced:request",) if force_general else ()
         if not groupable:
             reasons += (f"policy:{name}",)
-        return _cache_general(config, CapabilityReport("general", reasons))
+        return _cache_general(CapabilityReport("general", reasons))
     if config.associativity == 1:
         return _cache_dm(config, profile)
     return _cache_grouped(config, name == "lru", profile)
 
 
 def _cache_dm(config: CacheConfig, profile: bool) -> KernelProgram:
-    """Direct-mapped: pure numpy, any policy."""
+    """Direct-mapped: pure numpy on the cache's state array, any policy."""
     line_shift = config.line_shift
     set_mask = config.n_sets - 1
-    n_sets = config.n_sets
 
-    def make_state(policy=None) -> np.ndarray:
-        return np.full(n_sets, -1, dtype=np.int64)
-
-    if config.indexing is Indexing.VIRTUAL:
-        space_of = _space_fn(config.indexing)
-
-        def run(state, addresses, tid: int = 0) -> int:
-            addresses = np.asarray(addresses, dtype=np.int64)
-            if len(addresses) == 0:
-                return 0
-            space = space_of(tid)
-            lines = addresses >> line_shift
-            return dm_grouped_pass(
-                state, lines & set_mask, lines * MAX_SPACES + space
-            )
-
-        def resident_keys(state) -> set[tuple[int, int]]:
-            return {
-                _decode(int(key), line_shift) for key in state if key >= 0
-            }
-    else:
-        # physical keys carry no space term, so the lines themselves
-        # are the keys (an injective re-encoding: same misses, same
-        # state transitions)
-        def run(state, addresses, tid: int = 0) -> int:
-            addresses = np.asarray(addresses, dtype=np.int64)
-            if len(addresses) == 0:
-                return 0
-            lines = addresses >> line_shift
-            return dm_grouped_pass(state, lines & set_mask, lines)
-
-        def resident_keys(state) -> set[tuple[int, int]]:
-            return {
-                (0, int(line) << line_shift) for line in state if line >= 0
-            }
-
-    def occupancy(state) -> int:
-        return int(np.count_nonzero(state >= 0))
+    def run(cache, addresses, tid: int = 0) -> int:
+        addresses = np.asarray(addresses, dtype=np.int64)
+        n = len(addresses)
+        if n == 0:
+            return 0
+        lines = addresses >> line_shift
+        misses = dm_grouped_pass(
+            cache.sets, lines & set_mask, pack(lines, cache.space_of(tid))
+        )
+        cache.searches += n
+        cache.insertions += misses
+        return misses
 
     return KernelProgram(
         capabilities=CapabilityReport("dm"),
         run=_timed(run, "kernels.dm_pass", profile),
-        make_state=make_state,
-        resident_keys=resident_keys,
-        occupancy=occupancy,
     )
 
 
@@ -253,62 +205,42 @@ def _cache_grouped(
     """Grouped-set stack replay: exact for LRU/FIFO, any associativity."""
     line_shift = config.line_shift
     set_mask = config.n_sets - 1
-    n_sets = config.n_sets
     associativity = config.associativity
-    space_of = _space_fn(config.indexing)
 
-    def make_state(policy=None) -> list[list[int]]:
-        return [[] for _ in range(n_sets)]
-
-    def run(state, addresses, tid: int = 0) -> int:
+    def run(cache, addresses, tid: int = 0) -> int:
         addresses = np.asarray(addresses, dtype=np.int64)
-        if len(addresses) == 0:
+        n = len(addresses)
+        if n == 0:
             return 0
-        space = space_of(tid)
         lines = addresses >> line_shift
         sets = lines & set_mask
-        keys = lines * MAX_SPACES + space
+        keys = pack(lines, cache.space_of(tid))
         order = np.argsort(sets, kind="stable")
         sets_sorted = sets[order]
         keys_sorted = keys[order]
         keep = collapse_consecutive(sets_sorted, keys_sorted)
-        return grouped_stack_pass(
-            state,
+        misses = grouped_stack_pass(
+            cache.sets,
             associativity,
             lru,
             sets_sorted[keep].tolist(),
             keys_sorted[keep].tolist(),
         )
-
-    def resident_keys(state) -> set[tuple[int, int]]:
-        return {
-            _decode(key, line_shift) for entries in state for key in entries
-        }
-
-    def occupancy(state) -> int:
-        return sum(len(entries) for entries in state)
+        cache.searches += n
+        cache.insertions += misses
+        return misses
 
     return KernelProgram(
         capabilities=CapabilityReport("grouped"),
         run=_timed(run, "kernels.grouped_set", profile),
-        make_state=make_state,
-        resident_keys=resident_keys,
-        occupancy=occupancy,
     )
 
 
-def _cache_general(
-    config: CacheConfig, capabilities: CapabilityReport
-) -> KernelProgram:
-    """The exact per-reference path over ``SetAssociativeCache``.
-
-    ``make_state`` takes the *caller's* policy instance, so a seeded
-    random policy keeps drawing from its own RNG stream in global miss
-    order.  The reference path is never timed.
+def _cache_general(capabilities: CapabilityReport) -> KernelProgram:
+    """The exact per-reference path: ``SetAssociativeCache.access`` on
+    every address, so a seeded random policy draws from its RNG stream
+    in global miss order.  The reference path is never timed.
     """
-
-    def make_state(policy=None) -> SetAssociativeCache:
-        return SetAssociativeCache(config, policy)
 
     def run(cache, addresses, tid: int = 0) -> int:
         misses = 0
@@ -319,13 +251,7 @@ def _cache_general(
                 misses += 1
         return misses
 
-    return KernelProgram(
-        capabilities=capabilities,
-        run=run,
-        make_state=make_state,
-        resident_keys=lambda cache: cache.resident_keys(),
-        occupancy=lambda cache: cache.occupancy(),
-    )
+    return KernelProgram(capabilities=capabilities, run=run)
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +292,17 @@ def _build_tlb(config: TLBConfig, name: str, profile: bool) -> KernelProgram:
             return 0
         superpages = vpns >> page_shift
         sets = superpages & set_mask
+        keys = pack(superpages, check_space(tid))
         order = np.argsort(sets, kind="stable")
         sets_sorted = sets[order]
-        superpages_sorted = superpages[order]
-        keep = collapse_consecutive(sets_sorted, superpages_sorted)
+        keys_sorted = keys[order]
+        keep = collapse_consecutive(sets_sorted, keys_sorted)
         misses = grouped_stack_pass(
-            tlb._sets,
+            tlb.sets,
             associativity,
             lru,
             sets_sorted[keep].tolist(),
-            [(tid, sp) for sp in superpages_sorted[keep].tolist()],
+            keys_sorted[keep].tolist(),
         )
         tlb.searches += n
         tlb.insertions += misses
@@ -529,7 +456,6 @@ def _build_grid(grid: GridConfig, profile: bool) -> KernelProgram:
     ways = grid.ways
     max_ways = grid.max_ways
     virtual = grid.indexing is Indexing.VIRTUAL
-    space_of = _space_fn(grid.indexing)
     dm_only = max_ways == 1
 
     def make_state() -> GridState:
@@ -542,9 +468,8 @@ def _build_grid(grid: GridConfig, profile: bool) -> KernelProgram:
             if n == 0:
                 return 0
             start = time.perf_counter()
-            space = space_of(tid)
             lines = addresses >> line_shift
-            keys = lines * MAX_SPACES + space if virtual else lines
+            keys = pack(lines, check_space(tid) if virtual else 0)
             cold = int(np.count_nonzero(first_touch_mask(keys, state.seen)))
             state.cold += cold
             for index, n_sets in enumerate(set_counts):
@@ -567,9 +492,8 @@ def _build_grid(grid: GridConfig, profile: bool) -> KernelProgram:
             if n == 0:
                 return 0
             start = time.perf_counter()
-            space = space_of(tid)
             lines = addresses >> line_shift
-            keys = lines * MAX_SPACES + space if virtual else lines
+            keys = pack(lines, check_space(tid) if virtual else 0)
             cold_mask = first_touch_mask(keys, state.seen)
             state.cold += int(np.count_nonzero(cold_mask))
             for index, n_sets in enumerate(set_counts):

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Hashable, List
 
 from repro.errors import ConfigError
-
-Key = Hashable
 
 
 class ReplacementPolicy(abc.ABC):
@@ -24,15 +21,15 @@ class ReplacementPolicy(abc.ABC):
     name: str
 
     @abc.abstractmethod
-    def touch(self, entries: List[Key], index: int) -> None:
+    def touch(self, entries: list[int], index: int) -> None:
         """An entry was referenced (hit)."""
 
     @abc.abstractmethod
-    def insert(self, entries: List[Key], key: Key) -> None:
+    def insert(self, entries: list[int], key: int) -> None:
         """Place a new entry; the set is known to have free room."""
 
     @abc.abstractmethod
-    def victim_index(self, entries: List[Key]) -> int:
+    def victim_index(self, entries: list[int]) -> int:
         """Which index to displace from a full set."""
 
 
@@ -41,14 +38,14 @@ class LRUPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def touch(self, entries: List[Key], index: int) -> None:
+    def touch(self, entries: list[int], index: int) -> None:
         if index:
             entries.insert(0, entries.pop(index))
 
-    def insert(self, entries: List[Key], key: Key) -> None:
+    def insert(self, entries: list[int], key: int) -> None:
         entries.insert(0, key)
 
-    def victim_index(self, entries: List[Key]) -> int:
+    def victim_index(self, entries: list[int]) -> int:
         return len(entries) - 1
 
 
@@ -57,13 +54,13 @@ class FIFOPolicy(ReplacementPolicy):
 
     name = "fifo"
 
-    def touch(self, entries: List[Key], index: int) -> None:
+    def touch(self, entries: list[int], index: int) -> None:
         pass
 
-    def insert(self, entries: List[Key], key: Key) -> None:
+    def insert(self, entries: list[int], key: int) -> None:
         entries.insert(0, key)
 
-    def victim_index(self, entries: List[Key]) -> int:
+    def victim_index(self, entries: list[int]) -> int:
         return len(entries) - 1
 
 
@@ -75,13 +72,13 @@ class RandomPolicy(ReplacementPolicy):
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
-    def touch(self, entries: List[Key], index: int) -> None:
+    def touch(self, entries: list[int], index: int) -> None:
         pass
 
-    def insert(self, entries: List[Key], key: Key) -> None:
+    def insert(self, entries: list[int], key: int) -> None:
         entries.insert(0, key)
 
-    def victim_index(self, entries: List[Key]) -> int:
+    def victim_index(self, entries: list[int]) -> int:
         return self._rng.randrange(len(entries))
 
 

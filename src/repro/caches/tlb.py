@@ -1,7 +1,8 @@
 """The simulated TLB model.
 
-Entries map ``(tid, superpage_number)`` and are organized into sets like a
-cache (fully associative by default).  Variable page sizes (Table 2) are
+Entries are packed keys, :func:`~repro.caches.kernels.pack` of the
+superpage number and the owning tid, organized into sets like a cache
+(fully associative by default).  Variable page sizes (Table 2) are
 handled by tagging entries with the *superpage* number — ``page_bytes``
 may be any power-of-two multiple of the 4 KB machine page, in which case
 several machine pages share one simulated entry, exactly how a
@@ -12,12 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._types import PAGE_SIZE
 from repro.caches.config import TLBConfig
+from repro.caches.kernels import check_space, pack
 from repro.caches.pipeline import tlb_kernel
 from repro.caches.replacement import LRUPolicy, ReplacementPolicy
-
-Key = tuple[int, int]  # (tid, superpage number)
 
 
 class SimulatedTLB:
@@ -30,7 +29,8 @@ class SimulatedTLB:
     ) -> None:
         self.config = config
         self.policy = policy or LRUPolicy()
-        self._sets: list[list[Key]] = [[] for _ in range(config.n_sets)]
+        #: each set's keys in policy order
+        self.sets: list[list[int]] = [[] for _ in range(config.n_sets)]
         self.searches = 0
         self.insertions = 0
         program = tlb_kernel(config, self.policy)
@@ -42,20 +42,23 @@ class SimulatedTLB:
         """Collapse a machine-page VPN to its superpage number."""
         return vpn // self.config.pages_per_entry
 
-    def _set_of(self, superpage: int) -> int:
-        return superpage % self.config.n_sets
+    def _slot(self, tid: int, vpn: int) -> tuple[list[int], int]:
+        """(set entries, key) of the entry covering ``vpn``."""
+        superpage = self.superpage_of(vpn)
+        key = pack(superpage, check_space(tid))
+        return self.sets[superpage % self.config.n_sets], key
 
-    def _locate(self, key: Key) -> tuple[list[Key], int]:
-        entries = self._sets[self._set_of(key[1])]
+    def _locate(self, tid: int, vpn: int) -> tuple[list[int], int, int]:
+        """(set entries, key, way or -1) of the entry covering ``vpn``."""
+        entries, key = self._slot(tid, vpn)
         try:
-            return entries, entries.index(key)
+            return entries, key, entries.index(key)
         except ValueError:
-            return entries, -1
+            return entries, key, -1
 
-    def access(self, tid: int, vpn: int) -> tuple[bool, Key | None]:
+    def access(self, tid: int, vpn: int) -> tuple[bool, int | None]:
         """Trace-driven path: search, replace on miss."""
-        key = (tid, self.superpage_of(vpn))
-        entries, way = self._locate(key)
+        entries, key, way = self._locate(tid, vpn)
         self.searches += 1
         if way >= 0:
             self.policy.touch(entries, way)
@@ -76,17 +79,15 @@ class SimulatedTLB:
         """
         return self._chunk_run(self, tid, vpns)
 
-    def miss_insert(self, tid: int, vpn: int) -> Key | None:
+    def miss_insert(self, tid: int, vpn: int) -> int | None:
         """Trap-driven path: insert a known-missing translation.
 
-        Returns the displaced ``(tid, superpage)`` key, on which Tapeworm
-        must set page traps (one per machine page of the superpage).
+        Returns the displaced key, on which Tapeworm must set page traps
+        (one per machine page of the superpage), or None.
         """
-        key = (tid, self.superpage_of(vpn))
-        entries = self._sets[self._set_of(key[1])]
-        return self._insert(entries, key)
+        return self._insert(*self._slot(tid, vpn))
 
-    def _insert(self, entries: list[Key], key: Key) -> Key | None:
+    def _insert(self, entries: list[int], key: int) -> int | None:
         self.insertions += 1
         displaced = None
         if len(entries) >= self.config.effective_associativity:
@@ -96,37 +97,20 @@ class SimulatedTLB:
         return displaced
 
     def contains(self, tid: int, vpn: int) -> bool:
-        _, way = self._locate((tid, self.superpage_of(vpn)))
-        return way >= 0
+        return self._locate(tid, vpn)[2] >= 0
 
     def evict(self, tid: int, vpn: int) -> bool:
-        key = (tid, self.superpage_of(vpn))
-        entries, way = self._locate(key)
+        entries, _, way = self._locate(tid, vpn)
         if way < 0:
             return False
         entries.pop(way)
         return True
 
-    def flush_task(self, tid: int) -> list[Key]:
-        """Remove every entry of one task (task exit / page-out)."""
-        removed = []
-        for entries in self._sets:
-            kept = [key for key in entries if key[0] != tid]
-            if len(kept) != len(entries):
-                removed.extend(key for key in entries if key[0] == tid)
-                entries[:] = kept
-        return removed
-
-    def machine_pages_of(self, key: Key) -> range:
-        """The machine-page VPNs covered by one simulated entry."""
-        base = key[1] * self.config.pages_per_entry
-        return range(base, base + self.config.pages_per_entry)
-
-    def resident_keys(self) -> set[Key]:
-        return {key for entries in self._sets for key in entries}
+    def resident_keys(self) -> set[int]:
+        return {key for entries in self.sets for key in entries}
 
     def occupancy(self) -> int:
-        return sum(len(entries) for entries in self._sets)
+        return sum(len(entries) for entries in self.sets)
 
     def __len__(self) -> int:
         return self.occupancy()

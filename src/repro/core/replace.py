@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro._types import Indexing
 from repro.caches.cache import SetAssociativeCache
+from repro.caches.kernels import unpack
 from repro.caches.multilevel import TwoLevelCache
 from repro.core.registration import PageRegistry
 
@@ -45,20 +46,24 @@ class Replacer:
     ) -> None:
         self.structure = structure
         self.registry = registry
-        if isinstance(structure, TwoLevelCache):
-            self._indexing = structure.l1.config.indexing
-            self.line_bytes = structure.l1.config.line_bytes
-        else:
-            self._indexing = structure.config.indexing
-            self.line_bytes = structure.config.line_bytes
+        config = (
+            structure.l1.config
+            if isinstance(structure, TwoLevelCache)
+            else structure.config
+        )
+        self._indexing = config.indexing
+        self.line_bytes = config.line_bytes
+        self._line_shift = config.line_shift
 
     def index_address(self, va: int, pa: int) -> int:
         """The address the structure is indexed/tagged by."""
         return va if self._indexing is Indexing.VIRTUAL else pa
 
-    def _trap_target(self, key: tuple[int, int]) -> int | None:
-        """Physical trap base for a displaced (space, line_addr) key."""
-        space, line_addr = key
+    def trap_target(self, key: int) -> int | None:
+        """Physical trap base of a resident or displaced packed key; None
+        when its page has left the Tapeworm domain."""
+        line, space = unpack(key)
+        line_addr = line << self._line_shift
         if self._indexing is Indexing.PHYSICAL:
             if not self.registry.is_registered_frame(line_addr):
                 return None
@@ -74,9 +79,10 @@ class Replacer:
             outcome.l2_missed = not result.l2_hit
             displaced = result.displaced_from_l1
         else:
-            displaced = self.structure.miss_insert(tid, addr).displaced
+            victim = self.structure.miss_insert(tid, addr)
+            displaced = () if victim is None else (victim,)
         for key in displaced:
-            target = self._trap_target(key)
+            target = self.trap_target(key)
             if target is None:
                 outcome.untranslatable += 1
             else:

@@ -28,7 +28,12 @@ import numpy as np
 from repro._types import PAGE_SIZE, Indexing, TrapMechanism
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig, TLBConfig
-from repro.caches.kernels import GROUPABLE_POLICIES, dm_grouped_pass
+from repro.caches.kernels import (
+    GROUPABLE_POLICIES,
+    dm_grouped_pass,
+    pack,
+    unpack,
+)
 from repro.caches.multilevel import TwoLevelCache
 from repro.caches.replacement import make_policy
 from repro.caches.stats import CacheStats
@@ -457,33 +462,28 @@ class Tapeworm:
         # only sets holding a candidate can change during the segment
         touched = np.zeros(config.n_sets, dtype=bool)
         touched[sets[segment.candidates]] = True
-        touched_sets = np.flatnonzero(touched)
         at = np.flatnonzero(touched[sets])
-        lines, sets = lines[at], sets[at]
-        resident = np.full(config.n_sets, -1, dtype=np.int64)
-        resident[touched_sets] = (
-            cache.direct_mapped_lines(touched_sets) >> shift
-        )
+        keys, sets = pack(lines[at], 0), sets[at]
         trappable = self.registry.registered_mask(segment.pas[at])
         trappable &= self.sampler.mask_for_sets(sets)
         # the trap complement on every reference the replay depends on;
         # a trap erased by DMA, a spurious trap or a dropped clear fails
-        expected = trappable & (lines != resident[sets])
+        expected = trappable & (keys != cache.sets[sets])
         if not np.array_equal(expected, segment.candidates[at]):
             return None
 
         ecc.drain_recent_sets()
-        at, lines, sets = at[trappable], lines[trappable], sets[trappable]
+        at, keys, sets = at[trappable], keys[trappable], sets[trappable]
         missed = np.empty(len(at), dtype=bool)
         displaced = np.empty(len(at), dtype=np.int64)
-        misses = dm_grouped_pass(resident, sets, lines, missed, displaced)
-        victims = displaced[displaced >= 0] << shift
+        misses = dm_grouped_pass(cache.sets, sets, keys, missed, displaced)
+        cache.insertions += misses
+        victims = unpack(displaced[displaced >= 0])[0] << shift
         victims = victims[self.registry.registered_mask(victims)]
-        finals = resident[touched_sets] << shift
+        finals = unpack(cache.sets[np.flatnonzero(touched)])[0] << shift
         self.primitives.tw_retrap_lines(
             victims, finals, config.line_bytes, clears=misses
         )
-        cache.refill_direct_mapped(touched_sets, finals, insertions=misses)
         self.stats.count_miss(segment.component, misses)
         self.overhead_cycles += misses * self._miss_cycles
         return TrapBatch(at[missed], self._miss_cycles)
@@ -500,7 +500,7 @@ class Tapeworm:
             if table.is_page_trapped(covered):
                 self.primitives.tw_clear_page_trap(tid, covered)
         if displaced is not None:
-            dtid, dspn = displaced
+            dspn, dtid = unpack(displaced)
             for covered in self._registered_pages_of_entry(dtid, dspn):
                 table = self.machine.mmu.table(dtid)
                 if table.resident[covered] and not table.is_page_trapped(covered):

@@ -28,6 +28,7 @@ import numpy as np
 from repro._types import Component
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig
+from repro.caches.kernels import unpack
 from repro.core.tapeworm import Tapeworm, TapewormConfig
 from repro.kernel.kernel import Kernel
 from repro.machine.machine import Machine, MachineConfig
@@ -59,9 +60,11 @@ def _run_trace_side() -> tuple[list[str], int, int]:
             events.append(f"search({address:#05x}) -> hit")
         else:
             misses += 1
+            # key 0 (line 0 of space 0) is a real key: test against None
             note = (
-                f", replace displaced {displaced[1]:#05x}"
-                if displaced
+                ", replace displaced "
+                f"{unpack(displaced)[0] << DEMO_CACHE.line_shift:#05x}"
+                if displaced is not None
                 else ", replace"
             )
             events.append(f"search({address:#05x}) -> miss{note}")

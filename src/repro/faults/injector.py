@@ -291,17 +291,13 @@ class MachineFaultInjector:
                 applied=False, detail="no ECC-trapped structure to target",
             )
         cache = getattr(structure, "l1", structure)
-        registry = self.tapeworm.registry
         keys = sorted(cache.resident_keys())
         line_bytes = self._line_bytes()
         for _ in range(self._PICK_TRIES):
             if not keys:
                 break
-            space, line_addr = keys[int(self.rng.integers(0, len(keys)))]
-            if space == 0:  # physically indexed: the key is the pa
-                pa = line_addr if registry.is_registered_frame(line_addr) else None
-            else:  # virtually indexed: translate through the registry
-                pa = registry.pa_of(space, line_addr)
+            key = keys[int(self.rng.integers(0, len(keys)))]
+            pa = self.tapeworm.replacer.trap_target(key)
             if pa is None:
                 continue
             self.machine.ecc.set_trap(pa, line_bytes)

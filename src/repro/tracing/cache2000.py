@@ -19,13 +19,15 @@ Pixie's generation share) and misses add a replacement premium; the
 premium makes Cache2000's slowdown fall from ~30 at a 0.118 miss ratio
 toward ~22 at zero, as in Figure 2's table.
 
-Which execution path serves a configuration is decided *once*, by
+The simulated cache is one :class:`~repro.caches.cache.SetAssociativeCache`
+(``self.cache``), whichever path runs.  Which execution path serves a
+configuration is decided *once*, by
 :func:`repro.caches.pipeline.cache_kernel`: direct-mapped and LRU/FIFO
-configs get a vectorized grouped-set kernel, everything else
-(seeded-random replacement consumes its RNG in global miss order, which
-grouping would permute) gets the exact per-address path over the shared
-:class:`~repro.caches.cache.SetAssociativeCache`.  The kernel is fetched
-from the per-process memo at construction and invoked with zero
+configs get a vectorized grouped-set kernel that replays into the
+cache's own sets and counters, everything else (seeded-random
+replacement consumes its RNG in global miss order, which grouping would
+permute) gets the exact per-address ``access`` path.  The kernel is
+fetched from the per-process memo at construction and invoked with zero
 per-chunk dispatch; ``capabilities`` reports the decision and its
 reasons.  ``force_general_path=True`` pins the reference path for
 differential testing — forwarded to the factory, never branched on
@@ -41,6 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._types import Component
+from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig
 from repro.caches.pipeline import cache_kernel
 from repro.caches.replacement import LRUPolicy, ReplacementPolicy
@@ -69,11 +72,11 @@ class Cache2000:
         program = cache_kernel(
             config, self.policy, force_general=force_general_path
         )
-        self._program = program
         #: the kernel factory's report: which path, and why
         self.capabilities = program.capabilities
         self._run = program.run
-        self._state = program.make_state(self.policy)
+        #: the simulated cache every path replays into
+        self.cache = SetAssociativeCache(config, self.policy)
         self._fastpath = program.is_fast
         self._chunks = 0
 
@@ -99,7 +102,7 @@ class Cache2000:
         n = len(addresses)
         if n == 0:
             return 0
-        misses = self._run(self._state, addresses, tid)
+        misses = self._run(self.cache, addresses, tid)
         self._chunks += 1
         self.stats.count_refs(component, n)
         self.stats.count_miss(component, misses)
@@ -113,11 +116,11 @@ class Cache2000:
 
     def resident_lines(self) -> int:
         """Occupancy, for cross-path consistency checks."""
-        return self._program.occupancy(self._state)
+        return self.cache.occupancy()
 
-    def resident_keys(self) -> set[tuple[int, int]]:
-        """Every resident ``(space, line_addr)``, whichever path ran."""
-        return self._program.resident_keys(self._state)
+    def resident_keys(self) -> set[int]:
+        """Every resident packed key, whichever path ran."""
+        return self.cache.resident_keys()
 
     def average_cycles_per_address(self) -> float:
         total = self.stats.total_refs

@@ -5,6 +5,7 @@ import pytest
 from repro._types import Indexing
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig
+from repro.caches.kernels import pack
 from repro.caches.replacement import FIFOPolicy
 
 
@@ -25,14 +26,12 @@ def test_direct_mapped_conflict(dm_cache):
     dm_cache.access(1, 0x00)
     hit, displaced = dm_cache.access(1, 0x40)  # same set (4 sets * 16B)
     assert not hit
-    assert displaced == (0, 0x00)
+    assert displaced == pack(0x00 >> 4, 0)  # key 0: line 0 of space 0
 
 
 def test_miss_insert_returns_displaced(dm_cache):
-    dm_cache.miss_insert(1, 0x00)
-    outcome = dm_cache.miss_insert(1, 0x40)
-    assert outcome.displaced == [(0, 0x00)]
-    assert outcome.levels_missed == ("l1",)
+    assert dm_cache.miss_insert(1, 0x00) is None
+    assert dm_cache.miss_insert(1, 0x40) == pack(0x00 >> 4, 0)
 
 
 def test_miss_insert_performs_no_search(dm_cache):
@@ -50,7 +49,7 @@ def test_lru_within_set():
         cache.access(1, addr)
     cache.access(1, 0x00)  # refresh the oldest
     _, displaced = cache.access(1, 0x40)
-    assert displaced == (0, 0x10)  # next-oldest goes
+    assert displaced == pack(0x10 >> 4, 0)  # next-oldest goes
 
 
 def test_fifo_policy_ignores_touches():
@@ -62,7 +61,7 @@ def test_fifo_policy_ignores_touches():
         cache.access(1, addr)
     cache.access(1, 0x00)
     _, displaced = cache.access(1, 0x40)
-    assert displaced == (0, 0x00)  # first in, touched or not
+    assert displaced == pack(0x00 >> 4, 0)  # first in, touched or not
 
 
 def test_virtual_indexing_tags_by_task():
@@ -72,7 +71,7 @@ def test_virtual_indexing_tags_by_task():
     cache.access(1, 0x100)
     hit, displaced = cache.access(2, 0x100)  # same VA, other task
     assert not hit
-    assert displaced == (1, 0x100)
+    assert displaced == pack(0x100 >> 4, 1)
 
 
 def test_physical_indexing_shares_across_tasks():
@@ -90,7 +89,7 @@ def test_contains_does_not_touch_lru():
     cache.access(1, 0x10)
     assert cache.contains(1, 0x00)
     _, displaced = cache.access(1, 0x20)
-    assert displaced == (0, 0x00)  # contains() did not refresh it
+    assert displaced == pack(0x00 >> 4, 0)  # contains() did not refresh it
 
 
 def test_evict(dm_cache):
@@ -109,17 +108,6 @@ def test_flush_page():
     assert len(removed) == 256
     assert cache.occupancy() == 1
     assert cache.contains(1, 0x1000)
-
-
-def test_flush_space():
-    cache = SetAssociativeCache(
-        CacheConfig(size_bytes=256, line_bytes=16, indexing=Indexing.VIRTUAL)
-    )
-    cache.access(1, 0x00)
-    cache.access(2, 0x10)
-    removed = cache.flush_space(1)
-    assert removed == [(1, 0x00)]
-    assert cache.resident_keys() == {(2, 0x10)}
 
 
 def test_occupancy_never_exceeds_capacity():

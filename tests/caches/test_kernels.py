@@ -5,15 +5,18 @@ import pytest
 
 from repro._types import Indexing
 from repro.caches.cache import SetAssociativeCache
-from repro.caches.config import CacheConfig
+from repro.caches.config import CacheConfig, TLBConfig
 from repro.caches.kernels import (
     MAX_SPACES,
     collapse_consecutive,
     dm_grouped_pass,
     grouped_stack_pass,
+    pack,
+    unpack,
 )
 from repro.caches.pipeline import cache_kernel
 from repro.caches.replacement import make_policy
+from repro.caches.tlb import SimulatedTLB
 from repro.errors import ConfigError
 
 
@@ -22,20 +25,31 @@ def _addrs(*values):
 
 
 class _Cache:
-    """One ``cache_kernel`` program with its state, driven like a cache."""
+    """One ``cache_kernel`` program replaying into one cache."""
 
     def __init__(self, config, policy_name="lru"):
         self.program = cache_kernel(config, policy_name)
-        self.state = self.program.make_state(make_policy(policy_name))
+        self.cache = SetAssociativeCache(config, make_policy(policy_name))
 
     def simulate_chunk(self, addresses, tid=0):
-        return self.program.run(self.state, addresses, tid)
+        return self.program.run(self.cache, addresses, tid)
 
-    def resident_keys(self):
-        return self.program.resident_keys(self.state)
 
-    def occupancy(self):
-        return self.program.occupancy(self.state)
+# ---------------------------------------------------------------------------
+# the packed key
+# ---------------------------------------------------------------------------
+
+def test_pack_unpack_round_trip():
+    line = 1 << 40
+    for key_line, space in ((0, 0), (0, MAX_SPACES - 1), (line, 0), (line, 7)):
+        key = pack(key_line, space)
+        assert unpack(key) == (key_line, space)
+    assert pack(0, 0) == 0  # a real key: test against None, not truth
+    lines = np.array([0, 5, line], dtype=np.int64)
+    keys = pack(lines, MAX_SPACES - 1)
+    assert [tuple(pair) for pair in zip(*unpack(keys))] == [
+        (0, MAX_SPACES - 1), (5, MAX_SPACES - 1), (line, MAX_SPACES - 1),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +66,11 @@ def test_kernel_rejects_ungroupable_policy():
 
 
 def test_kernel_rejects_out_of_range_space():
-    """Virtual keys pack the tid, so it must fit in MAX_SPACES."""
+    """Virtual and TLB keys pack the tid, so it must fit in MAX_SPACES
+    on every path that packs one: a larger tid would alias another
+    task's entries."""
     for associativity in (1, 2):
-        cache = _Cache(
+        kernel = _Cache(
             CacheConfig(
                 size_bytes=64,
                 line_bytes=16,
@@ -63,7 +79,22 @@ def test_kernel_rejects_out_of_range_space():
             )
         )
         with pytest.raises(ConfigError):
-            cache.simulate_chunk(_addrs(0x0), tid=MAX_SPACES)
+            kernel.simulate_chunk(_addrs(0x0), tid=MAX_SPACES)
+        for tid in (-1, MAX_SPACES):
+            with pytest.raises(ConfigError):
+                kernel.cache.access(tid, 0x100)
+            with pytest.raises(ConfigError):
+                kernel.cache.miss_insert(tid, 0x100)
+        assert kernel.cache.occupancy() == 0
+    tlb = SimulatedTLB(TLBConfig(n_entries=4))
+    for tid in (-1, MAX_SPACES):
+        with pytest.raises(ConfigError):
+            tlb.miss_insert(tid, 10)
+        with pytest.raises(ConfigError):
+            tlb.access_chunk(tid, _addrs(10))
+    assert tlb.occupancy() == 0
+    tlb.miss_insert(MAX_SPACES - 1, 10)
+    assert tlb.resident_keys() == {pack(10, MAX_SPACES - 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +153,7 @@ def test_kernel_spatial_locality_hits_collapse():
         CacheConfig(size_bytes=128, line_bytes=16, associativity=2)
     )
     assert kernel.simulate_chunk(_addrs(0x0, 0x4, 0x8, 0xC)) == 1
-    assert kernel.occupancy() == 1
+    assert kernel.cache.occupancy() == 1
 
 
 def test_kernel_resident_keys_decode_spaces():
@@ -132,8 +163,8 @@ def test_kernel_resident_keys_decode_spaces():
     )
     kernel = _Cache(config)
     kernel.simulate_chunk(_addrs(0x100), tid=3)
-    assert kernel.resident_keys() == {(3, 0x100)}
-    assert kernel.occupancy() == 1
+    assert kernel.cache.resident_keys() == {pack(0x100 >> 4, 3)}
+    assert kernel.cache.occupancy() == 1
 
 
 def test_kernel_matches_reference_across_chunk_boundaries():
@@ -149,4 +180,4 @@ def test_kernel_matches_reference_across_chunk_boundaries():
             hit, _ = reference.access(0, addr)
             expected += not hit
         assert kernel.simulate_chunk(addrs) == expected
-    assert kernel.resident_keys() == reference.resident_keys()
+    assert kernel.cache.sets == reference.sets

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro._types import Indexing
+from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig, GridConfig, TLBConfig
 from repro.caches.pipeline import (
     CapabilityReport,
@@ -210,12 +211,13 @@ class TestRegistry:
 
         monkeypatch.chdir(tmp_path)
         addrs = np.arange(64, dtype=np.int64) * 16
-        for policy_name, program in (
-            ("lru", cache_kernel(DM)),
-            ("lru", cache_kernel(CFG, profile=True)),
-            ("random", cache_kernel(CFG, "random")),
+        for config, policy_name, program in (
+            (DM, "lru", cache_kernel(DM)),
+            (CFG, "lru", cache_kernel(CFG, profile=True)),
+            (CFG, "random", cache_kernel(CFG, "random")),
         ):
-            program.run(program.make_state(make_policy(policy_name)), addrs, 0)
+            cache = SetAssociativeCache(config, make_policy(policy_name))
+            program.run(cache, addrs, 0)
         grid = grid_kernel(GRID)
         grid.run(grid.make_state(), addrs, 0)
         tlb_kernel(TLBConfig(n_entries=8))
@@ -239,7 +241,8 @@ class TestRegistry:
 class TestPrograms:
     def test_cache_program_runs_standalone(self):
         program = cache_kernel(DM)
-        state = program.make_state(make_policy("lru"))
+        cache = SetAssociativeCache(DM, make_policy("lru"))
         addrs = np.asarray([0x00, 0x40, 0x00, 0x40], dtype=np.int64)
-        assert program.run(state, addrs, 0) == 2
-        assert program.occupancy(state) == 2
+        assert program.run(cache, addrs, 0) == 2
+        assert cache.occupancy() == 2
+        assert (cache.searches, cache.insertions) == (4, 2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.caches.config import TLBConfig
+from repro.caches.kernels import pack
 from repro.caches.tlb import SimulatedTLB
 
 
@@ -20,7 +21,7 @@ def test_fully_associative_lru_displacement():
     tlb.access(1, 20)
     tlb.access(1, 10)  # refresh
     _, displaced = tlb.access(1, 30)
-    assert displaced == (1, 20)
+    assert displaced == pack(20, 1)
 
 
 def test_miss_insert_skips_search():
@@ -30,7 +31,7 @@ def test_miss_insert_skips_search():
     assert tlb.searches == 0
     tlb.miss_insert(1, 20)
     displaced = tlb.miss_insert(1, 30)
-    assert displaced == (1, 10)
+    assert displaced == pack(10, 1)
 
 
 def test_superpage_collapsing():
@@ -40,7 +41,7 @@ def test_superpage_collapsing():
     # machine pages 0..3 share one entry
     assert tlb.contains(1, 3)
     assert not tlb.contains(1, 4)
-    assert list(tlb.machine_pages_of((1, 0))) == [0, 1, 2, 3]
+    assert tlb.resident_keys() == {pack(0, 1)}  # superpage 0 of tid 1
 
 
 def test_entries_are_per_task():
@@ -54,19 +55,9 @@ def test_set_associative_indexing():
     tlb = SimulatedTLB(config)
     tlb.miss_insert(1, 0)
     displaced = tlb.miss_insert(1, 4)  # same set (4 sets)
-    assert displaced == (1, 0)
+    assert displaced == pack(0, 1)
     displaced = tlb.miss_insert(1, 1)  # different set
     assert displaced is None
-
-
-def test_flush_task():
-    tlb = SimulatedTLB(TLBConfig(n_entries=8))
-    tlb.miss_insert(1, 10)
-    tlb.miss_insert(2, 20)
-    removed = tlb.flush_task(1)
-    assert removed == [(1, 10)]
-    assert tlb.resident_keys() == {(2, 20)}
-    assert len(tlb) == 1
 
 
 def test_evict():

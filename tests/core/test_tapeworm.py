@@ -5,6 +5,7 @@ import pytest
 
 from repro._types import Component, Indexing, PAGE_SIZE
 from repro.caches.config import CacheConfig, TLBConfig
+from repro.caches.kernels import unpack
 from repro.core.tapeworm import Tapeworm, TapewormConfig
 from repro.errors import ConfigError, TapewormError
 from repro.kernel.kernel import Kernel
@@ -258,7 +259,7 @@ class TestIndexing:
         # identical VAs index identical sets: in a direct-mapped virtual
         # cache, b's differently-tagged lines displaced a's
         keys = tapeworm.structure.resident_keys()
-        assert {key[0] for key in keys} == {b.tid}
+        assert {unpack(key)[1] for key in keys} == {b.tid}
         # ...so a traps again on its next pass (conflict misses)
         kernel.run_chunk(a, SEQ_4K[:64])
         assert tapeworm.stats.misses[Component.USER] == 48

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro._types import Component, PAGE_SIZE
 from repro.caches.config import CacheConfig, TLBConfig
+from repro.caches.kernels import unpack
 from repro.core.tapeworm import Tapeworm, TapewormConfig
 from repro.faults.auditor import TrapInvariantAuditor
 from repro.kernel.kernel import Kernel
@@ -66,9 +67,9 @@ class TestTampering:
     def test_trap_on_resident_line_is_unexpected(self):
         machine, _, tapeworm, task = _booted()
         cache = tapeworm.structure
-        space, line_addr = sorted(cache.resident_keys())[0]
+        line, space = unpack(sorted(cache.resident_keys())[0])
         assert space == 0  # physically indexed by default
-        machine.ecc.set_trap(line_addr, 16)
+        machine.ecc.set_trap(line << 4, 16)
         report = TrapInvariantAuditor(tapeworm).audit(final=True)
         kinds = {d.kind for d in report.divergences}
         assert "unexpected_trap" in kinds

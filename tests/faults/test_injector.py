@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro._types import Component
+from repro._types import KERNEL_TID, PAGE_SIZE, Component, Indexing
 from repro.caches.config import CacheConfig
 from repro.core.tapeworm import Tapeworm, TapewormConfig
 from repro.faults.injector import MachineFaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.kernel.kernel import Kernel
+from repro.kernel.servers import kernel_layout
 from repro.machine.machine import Machine, MachineConfig
 
 
@@ -71,6 +72,29 @@ class TestPerKind:
         assert entry.applied
         assert machine.ecc.is_tapeworm_trapped(entry.pa)
         assert tapeworm.structure.contains(0, entry.pa)
+
+    def test_spurious_trap_finds_kernel_lines_in_a_virtual_cache(self):
+        """Under virtual indexing the kernel task's keys carry space 0
+        too; they hold virtual lines, which must be translated."""
+        machine = Machine(
+            MachineConfig(memory_bytes=8 * 1024 * 1024, n_vpages=512)
+        )
+        kernel = Kernel(machine=machine, alloc_policy="sequential")
+        config = CacheConfig(size_bytes=2048, indexing=Indexing.VIRTUAL)
+        tapeworm = Tapeworm(kernel, TapewormConfig(cache=config))
+        tapeworm.install()
+        task = kernel.tasks.get(KERNEL_TID)
+        tapeworm.tw_attributes(KERNEL_TID, simulate=1, inherit=0)
+        base = kernel_layout().region_named("text").start_va
+        vas = np.arange(base, base + 2048, 4, dtype=np.int64)
+        kernel.run_chunk(task, vas)
+        injector = _fire(tapeworm, _plan(FaultKind.SPURIOUS_TRAP), task, vas)
+        entry = injector.ledger[0]
+        assert entry.applied, entry.detail
+        assert machine.ecc.is_tapeworm_trapped(entry.pa)
+        (tid, vpn), = tapeworm.registry.mappings_of_frame(entry.pa)
+        va = vpn * PAGE_SIZE + entry.pa % PAGE_SIZE
+        assert tapeworm.structure.contains(tid, va)
 
     def test_trap_clear_drop_swallows_the_next_clear(self):
         machine, kernel, tapeworm, task, vas = _booted()

@@ -42,6 +42,7 @@ import numpy as np
 from repro._types import Indexing
 from repro.caches.config import CacheConfig, GridConfig, TLBConfig
 from repro.caches.gridsweep import GridSweepSimulator
+from repro.caches.kernels import unpack
 from repro.caches.replacement import make_policy
 from repro.caches.tlb import SimulatedTLB
 from repro.core.tapeworm import TapewormConfig
@@ -71,8 +72,11 @@ def _chunks(seed: int, n_chunks: int = 10, span: int = 1 << 14):
     return chunks
 
 
-def _digest(keys) -> str:
-    text = json.dumps(sorted(list(key) for key in keys))
+def _digest(keys, line_shift: int = 0) -> str:
+    """Digest of packed keys as ``[space, line << line_shift]`` pairs:
+    ``[space, line_addr]`` for caches, ``[tid, superpage]`` for TLBs."""
+    pairs = [[space, line << line_shift] for line, space in map(unpack, keys)]
+    text = json.dumps(sorted(pairs))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -95,7 +99,9 @@ def _cache_goldens() -> dict:
                 out[f"{associativity}way-{policy_name}-{indexing.value}"] = {
                     "misses": misses,
                     "processing_cycles": sim.processing_cycles,
-                    "resident": _digest(sim.resident_keys()),
+                    "resident": _digest(
+                        sim.resident_keys(), config.line_shift
+                    ),
                 }
     return out
 

@@ -4,8 +4,9 @@ The contract the trace-driven fast path rests on: for every covered
 configuration — associativities {1,2,4,8}, policies {lru, fifo,
 seeded random}, virtual/physical indexing, multi-tid streams — the
 :class:`Cache2000` fast path produces *identical* per-chunk miss
-counts, final occupancy and resident keys to the per-reference
-:class:`SetAssociativeCache` loop.  Seeded-random configs are covered
+counts to the per-reference :class:`SetAssociativeCache` loop, and
+leaves an identical cache behind: every set's keys in policy order,
+``searches`` and ``insertions``.  Seeded-random configs are covered
 too: the dispatcher must route them to the general path (grouping would
 permute their RNG stream), so equality is by construction.
 """
@@ -26,6 +27,19 @@ from repro.tracing.cache2000 import Cache2000
 ASSOCIATIVITIES = (1, 2, 4, 8)
 POLICIES = ("lru", "fifo", "random")
 INDEXINGS = (Indexing.PHYSICAL, Indexing.VIRTUAL)
+
+
+def _assert_same_cache(
+    cache: SetAssociativeCache, reference: SetAssociativeCache
+) -> None:
+    """Whole-cache equality: state, searches and insertions."""
+    assert cache.direct_mapped == reference.direct_mapped
+    if cache.direct_mapped:
+        assert cache.sets.tolist() == reference.sets.tolist()
+    else:
+        assert cache.sets == reference.sets
+    assert cache.searches == reference.searches
+    assert cache.insertions == reference.insertions
 
 
 def _config(associativity: int, indexing: Indexing) -> CacheConfig:
@@ -64,7 +78,7 @@ def test_cache2000_paths_bit_identical(associativity, policy_name, indexing):
         )
     assert fast.stats.total_misses == slow.stats.total_misses
     assert fast.resident_lines() == slow.resident_lines()
-    assert fast.resident_keys() == slow.resident_keys()
+    _assert_same_cache(fast.cache, slow.cache)
 
 
 @pytest.mark.parametrize("associativity", ASSOCIATIVITIES)
@@ -75,7 +89,7 @@ def test_kernel_matches_reference_cache_directly(associativity, policy_name):
     config = _config(associativity, Indexing.VIRTUAL)
     kernel = cache_kernel(config, policy_name)
     assert kernel.is_fast
-    state = kernel.make_state(make_policy(policy_name))
+    cache = SetAssociativeCache(config, make_policy(policy_name))
     reference = SetAssociativeCache(config, make_policy(policy_name))
     for _ in range(10):
         tid = int(rng.integers(0, 4))
@@ -84,9 +98,8 @@ def test_kernel_matches_reference_cache_directly(associativity, policy_name):
         for addr in addrs.tolist():
             hit, _ = reference.access(tid, addr)
             ref_misses += not hit
-        assert kernel.run(state, addrs, tid) == ref_misses
-    assert kernel.occupancy(state) == reference.occupancy()
-    assert kernel.resident_keys(state) == reference.resident_keys()
+        assert kernel.run(cache, addrs, tid) == ref_misses
+    _assert_same_cache(cache, reference)
 
 
 @pytest.mark.parametrize("associativity", ASSOCIATIVITIES)
@@ -101,7 +114,7 @@ def test_physical_fast_path_accepts_any_tid(associativity):
     assert fast.simulate_chunk(addrs, tid=5000) == slow.simulate_chunk(
         addrs, tid=5000
     )
-    assert fast.resident_keys() == slow.resident_keys()
+    _assert_same_cache(fast.cache, slow.cache)
 
 
 def test_physical_grid_accepts_any_tid():
@@ -176,7 +189,7 @@ def test_property_paths_agree_on_any_stream(
         assert fast.simulate_chunk(addrs, tid=tid) == slow.simulate_chunk(
             addrs, tid=tid
         )
-    assert fast.resident_keys() == slow.resident_keys()
+    _assert_same_cache(fast.cache, slow.cache)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +227,7 @@ def test_pipeline_sweep_bit_identical(
 
     Tracing on/off (profiling shims composed into the kernel) and
     fault-plan on/off (an active fault session) are swept too: neither
-    may perturb miss counts, occupancy, or resident keys.
+    may perturb miss counts or the cache left behind.
     """
     rng = np.random.default_rng(
         hash((associativity, policy_name, indexing.value)) & 0xFFFF
@@ -236,7 +249,7 @@ def test_pipeline_sweep_bit_identical(
                 reference.simulate_chunk(addrs, tid=tid)
             )
         assert fast.resident_lines() == reference.resident_lines()
-        assert fast.resident_keys() == reference.resident_keys()
+        _assert_same_cache(fast.cache, reference.cache)
 
 
 def test_sweep_results_survive_registry_reset():
@@ -257,7 +270,7 @@ def test_sweep_results_survive_registry_reset():
     finally:
         reset_default_registry()
     assert cold_misses == warm_misses
-    assert cold.resident_keys() == warm.resident_keys()
+    _assert_same_cache(cold.cache, warm.cache)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +295,7 @@ def test_tlb_chunk_path_bit_identical(associativity, policy_name, page_kb):
             hit, _ = per_ref.access(tid, vpn)
             ref_misses += not hit
         assert chunked.access_chunk(tid, vpns) == ref_misses
-    assert chunked.resident_keys() == per_ref.resident_keys()
+    assert chunked.sets == per_ref.sets
     assert chunked.searches == per_ref.searches
     assert chunked.insertions == per_ref.insertions
     # trap-driven inserts keep working against the same state afterwards

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro._types import Component
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig
+from repro.caches.kernels import unpack
 from repro.caches.stack import StackSimulator
 from repro.core.registration import PageRegistry
 from repro.core.sampling import SetSampler
@@ -75,8 +76,9 @@ def test_cache_occupancy_bounded_and_keys_unique(addrs):
     keys = cache.resident_keys()
     assert len(keys) == cache.occupancy()
     # every resident line reports a hit
-    for _, line in keys:
-        assert cache.contains(1, line)
+    for key in keys:
+        line, _ = unpack(key)
+        assert cache.contains(1, line << config.line_shift)
 
 
 @given(addrs=_addr_streams)
