@@ -36,9 +36,6 @@ class DilationCurve:
     s0: float
     residual: float
 
-    def predicted_misses(self, slowdown: float) -> float:
-        return self.m0 * (1.0 + self.error_fraction(slowdown))
-
     def error_fraction(self, slowdown: float) -> float:
         """The systematic error at a given dilation, as a fraction."""
         if slowdown <= 0:

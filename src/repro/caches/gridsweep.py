@@ -344,15 +344,6 @@ def grid_job(
     )
 
 
-def run_grid_farm(
-    farm, workloads, total_refs: int, grid: GridConfig, seed: int = 0
-) -> dict[str, dict]:
-    """Submit one cached grid job per workload; payloads by name."""
-    names = list(workloads)
-    jobs = [grid_job(name, total_refs, grid, seed) for name in names]
-    return dict(zip(names, farm.run_jobs(jobs)))
-
-
 def grid_rows(payload: dict) -> list[dict]:
     """Flatten one grid payload into per-config manifest rows."""
     refs = int(payload["refs"])

@@ -246,10 +246,6 @@ class Farm:
             )
         return results
 
-    def run_job(self, job: Job) -> Any:
-        """Convenience single-job entry point."""
-        return self.run_jobs([job])[0]
-
     # -- execution strategies
 
     def _store(

@@ -50,15 +50,6 @@ class BreakpointUnit:
             raise MachineError(f"breakpoint register {slot} is not set")
         self._ranges[slot] = None
 
-    def clear_covering(self, va: int) -> int:
-        """Clear every register whose range covers ``va``; returns count."""
-        cleared = 0
-        for slot, current in enumerate(self._ranges):
-            if current is not None and current[0] <= va < current[1]:
-                self._ranges[slot] = None
-                cleared += 1
-        return cleared
-
     def active_ranges(self) -> list[tuple[int, int]]:
         return [r for r in self._ranges if r is not None]
 

@@ -103,11 +103,6 @@ class TaskSpec:
     def text_pages(self) -> int:
         return _pages_spanned(TEXT_BASE_VA, self.shapes)
 
-    def data_pages(self) -> int:
-        if not self.data_shapes:
-            return 0
-        return _pages_spanned(DATA_BASE_VA, self.data_shapes)
-
     def layout(self) -> AddressSpaceLayout:
         return _layout_for(self.binary, self.shapes, self.data_shapes)
 
@@ -245,11 +240,6 @@ class WorkloadSpec:
     def user_task_specs(self) -> list[TaskSpec]:
         return [
             t for t in self.tasks.values() if t.component is Component.USER
-        ]
-
-    def system_task_specs(self) -> list[TaskSpec]:
-        return [
-            t for t in self.tasks.values() if t.component is not Component.USER
         ]
 
     def component_weights(self) -> dict[Component, float]:

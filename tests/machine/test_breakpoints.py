@@ -27,14 +27,6 @@ def test_bank_exhaustion_is_the_limiting_factor():
         unit.set_breakpoint(0x1000, 16)
 
 
-def test_clear_covering():
-    unit = BreakpointUnit()
-    unit.set_breakpoint(0x200, 32)
-    unit.set_breakpoint(0x210, 32)
-    assert unit.clear_covering(0x210) == 2
-    assert unit.n_active() == 0
-
-
 def test_check_chunk_vectorized():
     unit = BreakpointUnit()
     unit.set_breakpoint(0x40, 16)
