@@ -1,20 +1,23 @@
 """Stream-store microbenchmarks: ``python -m benchmarks.perf.streams``.
 
-Three benchmarks time the PR-5 machinery end to end:
+Three benchmarks time the stream session end to end:
 
-* **stream-compile-vs-mmap** — materializing one workload reference
-  stream from the live generators versus memory-mapping the persisted
-  blob back out of the content-addressed store (including the one-time
-  CRC verification a fresh process pays);
+* **stream-compile-vs-mmap** — one trap-driven ``sdet`` trial runs under
+  a store-backed session, which writes back the prefixes the trial
+  grew.  Then a fresh in-memory session generates those prefixes on
+  demand, and a fresh session over a fresh :class:`StreamStore` maps
+  them back, including the CRC check of each blob's first open.  This
+  is the cold farm worker's choice: generate what it reads, or map it;
 * **warm-snapshot-fork** — one trap-driven measurement window forked
   from a warm-state snapshot versus the same window reached by a full
   boot-and-replay of the warmup prefix;
 * **streams-trials-fanout** — the headline number: N measurement trials
   sharing one warmed prefix, run cold (every trial boots and replays
-  the warmup live) versus warm (streams compiled once, snapshot created
-  once, trials forked).  The warm timing *includes* the compile and
-  snapshot cost, so the speedup is what a sweep actually sees.  Miss
-  counts are asserted bit-identical between the two paths.
+  the warmup live) versus warm (streams generated on demand into the
+  session's prefix memo, snapshot created once, trials forked).  The
+  warm timing *includes* the generation and snapshot cost, so the
+  speedup is what a sweep actually sees.  Miss counts are asserted
+  bit-identical between the two paths.
 
 Results are emitted as ``BENCH_PR5.json`` — same schema-versioned
 envelope as ``BENCH_PR3.json`` (``suite`` differs) so the same tooling
@@ -36,6 +39,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from benchmarks.perf import (
     BENCH_REFS,
     BENCH_SCHEMA_VERSION,
@@ -52,11 +57,7 @@ from repro.streams import (
     StreamStore,
     WarmupPlan,
     activate,
-    build_live_stream,
-    compile_refs_for,
-    compile_stream,
     deactivate,
-    stream_fingerprint,
 )
 from repro.workloads import get_workload
 
@@ -65,6 +66,8 @@ DEFAULT_BENCH_PATH = Path(__file__).parent.parent / "results" / "BENCH_PR5.json"
 
 _SEED = 1994
 _WORKLOAD = "espresso"
+#: the workload whose trial the compile-vs-mmap record reads
+_TRIAL_WORKLOAD = "sdet"
 #: trials sharing one warmed prefix; the warmup covers 15/16 of the
 #: run, so the fan-out replays 8T refs cold against ~1.4T refs warm
 _FANOUT_TRIALS = 8
@@ -87,27 +90,50 @@ def _warmup(total_refs: int) -> WarmupPlan:
 # ---------------------------------------------------------------------------
 
 def bench_compile_vs_mmap(budget: str, store_dir: Path) -> dict:
-    """Live generation vs a cold-process mmap of the persisted blob."""
-    spec = get_workload(_WORKLOAD)
-    task = spec.primary_task
-    refs = compile_refs_for(BENCH_REFS[budget])
-    key = stream_fingerprint(spec, task, refs)
+    """On-demand generation vs a cold-process mmap of one trial's
+    prefixes."""
+    total_refs = BENCH_REFS[budget]
+    spec = get_workload(_TRIAL_WORKLOAD)
+    trial = StreamSession(store=StreamStore(store_dir))
+    activate(trial)
+    try:
+        run_trap_driven(spec, _config(), _options(total_refs))
+    finally:
+        deactivate()  # writes the grown prefixes back to the store
+    lengths = {
+        task: len(trial.stream_for(spec, task).backing) for task in spec.tasks
+    }
+    lengths = {task: n for task, n in lengths.items() if n}
 
-    compiled, compile_secs = _timed(
-        lambda: compile_stream(
-            build_live_stream(spec.name, spec.task(task), False), refs
-        )
+    def read(session: StreamSession) -> list:
+        return [
+            session.stream_for(spec, task).next_chunk(n)
+            for task, n in lengths.items()
+        ]
+
+    generated, compile_secs = _timed(
+        lambda: read(StreamSession(StreamStore(store_dir, enabled=False)))
     )
-    store = StreamStore(store_dir)
-    store.put(key, compiled)
-    # a fresh instance re-verifies the CRC, as a new process would
-    mapped, mmap_secs = _timed(lambda: StreamStore(store_dir).get(key))
-    assert mapped is not None and len(mapped) == refs
+    # a fresh store re-verifies each blob's CRC, as a new process would
+    mapping = StreamSession(StreamStore(store_dir))
+    mapped, mmap_secs = _timed(lambda: read(mapping))
+    assert mapping.store.hits == len(lengths) and mapping.compiles == 0
+    assert all(np.array_equal(a, b) for a, b in zip(generated, mapped)), (
+        "mapped prefixes differ from generated ones"
+    )
+    refs = sum(lengths.values())
 
     return _record(
         name="stream-compile-vs-mmap",
-        configuration=f"{_WORKLOAD}/{task}, {refs} refs",
-        config={"workload": _WORKLOAD, "task": task, "refs": refs},
+        configuration=(
+            f"{_TRIAL_WORKLOAD}, {len(lengths)} task streams one "
+            f"{total_refs}-ref trial grew"
+        ),
+        config={
+            "workload": _TRIAL_WORKLOAD,
+            "trial_refs": total_refs,
+            "streams": len(lengths),
+        },
         wall=compile_secs + mmap_secs,
         metrics={
             "compile_refs_per_sec": round(refs / max(compile_secs, 1e-9)),
@@ -115,7 +141,8 @@ def bench_compile_vs_mmap(budget: str, store_dir: Path) -> dict:
         },
         results={
             "refs": refs,
-            "blob_bytes": int(store.stats()["blob_bytes"]),
+            "streams": len(lengths),
+            "blob_bytes": int(StreamStore(store_dir).stats()["blob_bytes"]),
             "compile_secs": round(compile_secs, 6),
             "mmap_secs": round(mmap_secs, 6),
             "speedup": round(compile_secs / max(mmap_secs, 1e-9), 2),
@@ -141,7 +168,7 @@ def bench_snapshot_fork(budget: str, store_dir: Path) -> dict:
     session = StreamSession(store=StreamStore(store_dir))
     activate(session)
     try:
-        # untimed priming run compiles the streams and stores the snapshot
+        # untimed priming run generates the streams and stores the snapshot
         run_trap_driven(spec, config, options, warmup=warmup)
         fork_report, fork_secs = _timed(
             lambda: run_trap_driven(spec, config, options, warmup=warmup)
@@ -180,9 +207,10 @@ def bench_snapshot_fork(budget: str, store_dir: Path) -> dict:
 def bench_trials_fanout(budget: str, store_dir: Path) -> dict:
     """N trials off one warmed prefix, with and without the session.
 
-    The warm timing starts from an empty store and session, so compile,
-    persist, and snapshot-create costs are all inside the measured
-    window — this is the first-sweep speedup, not the best case.
+    The warm timing starts from an empty store and session, so
+    generation, write-back and snapshot-create costs are all inside the
+    measured window — this is the first-sweep speedup, not the best
+    case.
     """
     total_refs = BENCH_REFS[budget]
     spec = get_workload(_WORKLOAD)
@@ -195,16 +223,17 @@ def bench_trials_fanout(budget: str, store_dir: Path) -> dict:
             spec, config, options, warmup, _FANOUT_TRIALS, base_seed=0
         )
     )
-    session = StreamSession(store=StreamStore(store_dir / "fanout"))
-    activate(session)
-    try:
-        warm_reports, warm_secs = _timed(
-            lambda: run_warm_trials(
+
+    def warm_run() -> list:
+        activate(StreamSession(store=StreamStore(store_dir / "fanout")))
+        try:
+            return run_warm_trials(
                 spec, config, options, warmup, _FANOUT_TRIALS, base_seed=0
             )
-        )
-    finally:
-        deactivate()
+        finally:
+            deactivate()  # the prefixes' write-back is inside the window
+
+    warm_reports, warm_secs = _timed(warm_run)
     cold_misses = [report.stats.total_misses for report in cold_reports]
     warm_misses = [report.stats.total_misses for report in warm_reports]
     assert cold_misses == warm_misses, (

@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(handler=_cmd_streams_clear)
     s_warm = streams_sub.add_parser(
         "warm", parents=[budget_refs, store_dir],
-        help="precompile workload streams into the store",
+        help="generate workload streams to the budget into the store",
     )
     s_warm.set_defaults(handler=_cmd_streams_warm)
     s_warm.add_argument(
@@ -1164,18 +1164,16 @@ def _cmd_streams_warm(args: argparse.Namespace) -> int:
     refs = _total_refs(args)
     names = WORKLOAD_NAMES if args.workload == "all" else [args.workload]
     session = StreamSession(store=store)
-    compiled = 0
     for name in names:
         spec = get_workload(name)
-        compiled += session.precompile(spec, refs)
-        if args.data:
-            compiled += session.precompile(
-                spec, refs, include_data_refs=True
-            )
+        for data in (False, True) if args.data else (False,):
+            for task_name in spec.tasks:
+                session.stream_for(spec, task_name, data).next_chunk(refs)
+    session.write_back()
     stats = store.stats()
     print(
         f"warmed {len(names)} workload(s) at {refs:,} refs: "
-        f"{compiled} stream(s) compiled, "
+        f"{session.compiles} stream(s) compiled, "
         f"{session.memo_hits + store.hits} reused"
     )
     print(

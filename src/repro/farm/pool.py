@@ -389,9 +389,9 @@ class Farm:
         """The transport workers should use for this batch.
 
         Re-derived from the active stream session when there is one, so
-        streams compiled (or shared-memory segments published) *after*
-        the farm was configured — e.g. by a precompile step — still
-        reach the workers.  Falls back to the configured snapshot.
+        prefixes the master grew *after* the farm was configured — e.g.
+        by profiling a stream — still reach the workers as shared
+        memory segments.  Falls back to the configured snapshot.
         """
         if self.config.stream_transport is None:
             return None

@@ -125,35 +125,6 @@ def run_trials(
     )
 
 
-def _precompile_streams(params: Mapping[str, Any]) -> None:
-    """Materialize a job batch's streams into the store before fan-out.
-
-    Every trial of a farmed experiment consumes the *same* reference
-    streams (stream content is trial-seed independent), so compiling
-    them once in the master — before any worker starts — turns each
-    worker's stream construction into a memory map.  Best-effort: jobs
-    whose params don't name a registered workload just compile worker-
-    side, which is correct, merely colder.
-    """
-    from repro.streams.session import active as _streams
-
-    session = _streams()
-    if session is None:
-        return
-    workload = params.get("workload")
-    total_refs = params.get("total_refs")
-    if not isinstance(workload, str) or not isinstance(total_refs, int):
-        return
-    from repro.workloads.registry import get_workload
-
-    try:
-        spec = get_workload(workload)
-    except Exception:
-        return
-    include_data = bool(params.get("include_data_refs", False))
-    session.precompile(spec, total_refs, include_data)
-
-
 def run_trials_farm(
     measure: str,
     params: Mapping[str, Any],
@@ -169,15 +140,10 @@ def run_trials_farm(
     ``base_seed + trial`` seed ladder through its cache and process
     pool.  Because each trial is independently seeded, the resulting
     :class:`TrialStats` is bit-for-bit identical to the serial path.
-
-    With a stream session active, the batch's reference streams are
-    precompiled into the store first, so workers map blobs instead of
-    regenerating them (see :mod:`repro.streams`).
     """
     from repro.farm.jobs import Job
 
     _validate_trial_args(n_trials, base_seed)
-    _precompile_streams(params)
     jobs = [
         Job(measure=measure, params=dict(params), seed=base_seed + trial)
         for trial in range(n_trials)

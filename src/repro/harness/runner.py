@@ -134,7 +134,7 @@ class _WorkloadExecution:
 
     def __deepcopy__(self, memo: dict) -> "_WorkloadExecution":
         # the spec is immutable shared configuration — forks alias it,
-        # and compiled streams share their backing arrays through
+        # and compiled streams share their prefixes through
         # CompiledStream.__deepcopy__; everything else (kernel, machine,
         # Tapeworm, cursors, RNGs) is copied for real
         memo[id(self.spec)] = self.spec
@@ -174,10 +174,7 @@ class _WorkloadExecution:
             session = _streams()
             if session is not None:
                 stream = session.stream_for(
-                    self.spec,
-                    task_name,
-                    self.options.total_refs,
-                    self.options.include_data_refs,
+                    self.spec, task_name, self.options.include_data_refs
                 )
             else:
                 task_spec = self.spec.task(task_name)

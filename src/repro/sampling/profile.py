@@ -176,9 +176,9 @@ def profile_workload(
     scheduler, but its phase structure is driven by the underlying
     per-task streams; the primary user task's stream is the cheap,
     deterministic proxy the clusterer operates on.  With a stream
-    session active the compiled blob is memory-mapped straight out of
-    the store; otherwise the stream is compiled in memory for the
-    profile pass only.
+    session active the profile reads the session's prefix through a
+    cursor, growing it to the budget if no earlier run did; otherwise
+    the stream is compiled in memory for the profile pass only.
     """
     from repro.streams.compile import build_live_stream, compile_stream
     from repro.streams.session import active as _streams
@@ -186,8 +186,8 @@ def profile_workload(
     task = task_name or spec.primary_task
     session = _streams()
     if session is not None:
-        stream = session.stream_for(spec, task, total_refs, include_data_refs)
-        addresses = stream.backing[:total_refs]
+        stream = session.stream_for(spec, task, include_data_refs)
+        addresses = stream.next_chunk(total_refs)
     else:
         addresses = compile_stream(
             build_live_stream(spec.name, spec.task(task), include_data_refs),

@@ -335,11 +335,6 @@ def run_sampled_trials(
     if farm is not None:
         from repro.farm.jobs import Job
 
-        session = _streams()
-        if session is not None:
-            session.precompile(
-                spec, options.total_refs, options.include_data_refs
-            )
         jobs = [
             Job(
                 measure="sampling.interval",

@@ -1,13 +1,18 @@
-"""Compiled reference streams: content-addressed store, zero-copy farm
-transport, and warm-state snapshots.
+"""Reference streams on demand: a per-process prefix memo, a
+content-addressed store, zero-copy farm transport, and warm-state
+snapshots.
 
-The trap-driven harness spends much of a trial regenerating reference
+The trap-driven harness spends much of a trial generating reference
 streams that are *identical across trials* — stream content depends
-only on ``(workload, task)``, never the trial seed.  This package
-materializes each stream once as an ``int64`` ``.npy`` blob under
-``.stream-cache/``, keyed by a SHA-256 of its generating spec, and
-replays it via read-only memory maps everywhere else: later runs, farm
-workers (which receive store keys, not pickled arrays), and warm-state
+only on ``(workload, task)``, never the trial seed.  A session keeps,
+per stream, the longest prefix generated so far and hands every trial
+a cursor over it; a read past the end grows the prefix geometrically,
+so each stream is generated once per process, and only as far as runs
+read it.  Prefixes persist as ``int64`` ``.npy`` blobs under
+``.stream-cache/``, keyed by a SHA-256 of the generating spec (not a
+length: a prefix of a stream is the same stream), and are replayed
+via read-only memory maps everywhere else: later runs, farm workers
+(which receive store keys, not pickled arrays), and warm-state
 snapshot forks that skip a declared warmup prefix entirely.
 
 Everything is gated on a process-wide session
@@ -24,8 +29,6 @@ from repro.streams.compile import (
 from repro.streams.keys import (
     MIX_GEOMETRY,
     STREAM_CODE_VERSION,
-    STREAM_MARGIN,
-    compile_refs_for,
     stream_descriptor,
     stream_fingerprint,
 )
@@ -49,7 +52,6 @@ __all__ = [
     "CompiledStream",
     "MIX_GEOMETRY",
     "STREAM_CODE_VERSION",
-    "STREAM_MARGIN",
     "ShmArena",
     "ShmSegment",
     "SnapshotStore",
@@ -60,7 +62,6 @@ __all__ = [
     "activate",
     "active",
     "build_live_stream",
-    "compile_refs_for",
     "compile_stream",
     "deactivate",
     "enabled",

@@ -1,17 +1,20 @@
-"""Content-addressed identities for compiled reference streams.
+"""Content-addressed identities for reference streams.
 
-A compiled stream is fully determined by the *generating spec*: the
-workload name, the task name, the task's CRC-derived stream seed, the
-exact procedure tables (instruction and — when data references are
-interleaved — data), the deterministic mix geometry, and the number of
-references materialized.  :func:`stream_fingerprint` reduces all of that
-to a SHA-256 hex digest over a canonical JSON encoding (reusing the
-farm's :func:`~repro.farm.jobs.canonical`), salted with a code-version
-string so every blob in the store is invalidated wholesale whenever
+A stream is fully determined by the *generating spec*: the workload
+name, the task name, the task's CRC-derived stream seed, the exact
+procedure tables (instruction and — when data references are
+interleaved — data) and the deterministic mix geometry.
+:func:`stream_fingerprint` reduces all of that to a SHA-256 hex digest
+over a canonical JSON encoding (reusing the farm's
+:func:`~repro.farm.jobs.canonical`), salted with a code-version string
+so every blob in the store is invalidated wholesale whenever
 stream-generation semantics change.
 
-Keys are pure content addresses: two processes (or two machines) that
-agree on the spec compute the same key and can share one on-disk blob.
+A key names the whole (unbounded) stream, not a length: any prefix of
+a stream is the same stream, so a stored blob of any length serves
+every run of that stream, and a longer one replaces a shorter.  Keys
+are pure content addresses: two processes (or two machines) that agree
+on the spec compute the same key and can share one on-disk blob.
 """
 
 from __future__ import annotations
@@ -33,16 +36,6 @@ STREAM_CODE_VERSION = "repro-streams-v1"
 #: MixedStream's deterministic interleave geometry (instr_run, data_run).
 #: Part of the key: changing the mix changes the compiled sequence.
 MIX_GEOMETRY = (48, 16)
-
-#: Extra references compiled beyond a run's ``total_refs`` so per-phase
-#: rounding can never exhaust a blob mid-run (the replay wrapper falls
-#: back to live generation if it somehow does).
-STREAM_MARGIN = 8192
-
-
-def compile_refs_for(total_refs: int) -> int:
-    """Blob length used for a trap-driven run of ``total_refs``."""
-    return int(total_refs) + STREAM_MARGIN
 
 
 def stream_descriptor(
@@ -79,11 +72,10 @@ def fingerprint_payload(payload: Mapping[str, Any]) -> str:
 def stream_fingerprint(
     spec: WorkloadSpec,
     task_name: str,
-    refs: int,
     include_data_refs: bool = False,
     salt: str = STREAM_CODE_VERSION,
 ) -> str:
-    """The store key of one ``(workload, task, refs, data?)`` stream.
+    """The store key of one ``(workload, task, data?)`` stream.
 
     Memoized: the key is pure in the workload's name, the task's frozen
     (hashable) :class:`TaskSpec` and the other arguments, and
@@ -94,7 +86,6 @@ def stream_fingerprint(
         spec.name,
         task_name,
         spec.task(task_name),
-        int(refs),
         bool(include_data_refs),
         salt,
     )
@@ -105,14 +96,12 @@ def _fingerprint(
     workload: str,
     task_name: str,
     task: TaskSpec,
-    refs: int,
     include_data_refs: bool,
     salt: str,
 ) -> str:
     return fingerprint_payload(
         {
             "stream": _descriptor(workload, task_name, task, include_data_refs),
-            "refs": refs,
             "include_data_refs": include_data_refs,
             "salt": salt,
         }

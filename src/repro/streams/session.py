@@ -1,24 +1,37 @@
-"""The process-wide stream session — compiled-stream reuse as a gate.
+"""The process-wide stream session — the stream memo as a gate.
 
 Mirrors :mod:`repro.telemetry.session` and :mod:`repro.faults.session`:
 one module-level slot, read with a ``None`` check at every integration
-point (the harness's stream construction, the Pixie tracer, the farm
-worker entry).  With no session active, every consumer builds its
-streams live exactly as before — the store cannot change results when
-it is off, and ``tests/streams/test_bit_equality.py`` pins that it does
-not change them when it is *on* either.
+point (the harness's stream construction, the Pixie tracer, the
+profiler, the farm worker entry).  With no session active, every
+consumer builds its streams live exactly as before — the store cannot
+change results when it is off, and ``tests/streams/test_bit_equality.py``
+pins that it does not change them when it is *on* either.
 
-Resolution order for a requested stream:
+The session's memo holds, per stream key, the longest prefix generated
+so far (:class:`~repro.streams.compile.StreamPrefix`), and
+:meth:`StreamSession.stream_for` returns a cursor over it.  Nothing is
+generated up front: a read past the prefix's end grows it to at least
+twice its length, so a run generates about what it reads.
 
-1. the in-process memo (this session already compiled or mapped it);
-2. a shared memory attachment (farm worker, store disabled on master);
-3. the on-disk store (memory-mapped, verified once);
-4. compile it live — and persist it, so the next process maps instead.
+Resolution order for a requested stream, on a memo miss:
+
+1. a shared memory attachment (farm worker, store disabled on the
+   master) seeds the prefix;
+2. else a blob of any length in the on-disk store (memory-mapped,
+   verified once) seeds it;
+3. else the prefix starts empty.
+
+Either way the prefix grows on demand past its seed.  :func:`deactivate`
+writes back every prefix that grew since it was last stored, so the
+store keeps the longest prefix per key and the next process maps
+instead of generating.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -26,12 +39,11 @@ import numpy as np
 from repro.errors import StreamStoreError
 from repro.streams.compile import (
     CompiledStream,
+    StreamPrefix,
     build_live_stream,
-    compile_stream,
 )
 from repro.streams.keys import (
     STREAM_CODE_VERSION,
-    compile_refs_for,
     stream_descriptor,
     stream_fingerprint,
 )
@@ -42,7 +54,7 @@ from repro.workloads.base import WorkloadSpec
 
 
 class StreamSession:
-    """One process's compiled-stream state: store, memo, snapshots."""
+    """One process's stream state: store, prefix memo, snapshots."""
 
     def __init__(
         self,
@@ -54,15 +66,27 @@ class StreamSession:
         self.salt = salt
         #: arrays attached from the farm master's shared memory segments
         self.attachments: dict[str, np.ndarray] = dict(attachments or {})
-        #: arrays this process already holds (compiled or mapped)
-        self._memo: dict[str, np.ndarray] = {}
+        #: stream key -> the longest prefix this process holds
+        self._memo: dict[str, StreamPrefix] = {}
+        #: stream key -> (spec, task, data?), for a stored blob's sidecar
+        self._sources: dict[str, tuple[WorkloadSpec, str, bool]] = {}
+        #: stream key -> length of the prefix the store holds
+        self._stored: dict[str, int] = {}
         self.snapshots = SnapshotStore()
         self.memo_hits = 0
         self.shm_hits = 0
-        self.compiles = 0
-        self.compiled_refs = 0
         self._arena: ShmArena | None = None
         self._published: dict[tuple[str, ...], int] = {}
+
+    @property
+    def compiles(self) -> int:
+        """Streams this session generated references for."""
+        return sum(1 for prefix in self._memo.values() if prefix.generated)
+
+    @property
+    def compiled_refs(self) -> int:
+        """References this session generated, over every stream."""
+        return sum(prefix.generated for prefix in self._memo.values())
 
     # -- the lookup path
 
@@ -70,64 +94,74 @@ class StreamSession:
         self,
         spec: WorkloadSpec,
         task_name: str,
-        total_refs: int,
         include_data_refs: bool = False,
     ) -> CompiledStream:
-        """A replay cursor over the compiled stream for one task.
+        """A replay cursor, at reference 0, over one task's stream."""
+        return CompiledStream(self._prefix(spec, task_name, include_data_refs))
 
-        ``total_refs`` is the run's budget; the compiled blob carries a
-        safety margin beyond it (see :func:`compile_refs_for`), and the
-        returned :class:`CompiledStream` falls back to live generation
-        in the (never expected) case the margin is exceeded.
-        """
-        refs = compile_refs_for(total_refs)
+    def _prefix(
+        self, spec: WorkloadSpec, task_name: str, include_data_refs: bool
+    ) -> StreamPrefix:
         key = stream_fingerprint(
-            spec, task_name, refs, include_data_refs, salt=self.salt
+            spec, task_name, include_data_refs, salt=self.salt
         )
-        task = spec.task(task_name)
-
-        def fallback():
-            return build_live_stream(spec.name, task, include_data_refs)
-
-        array = self._memo.get(key)
-        if array is not None:
+        prefix = self._memo.get(key)
+        if prefix is not None:
             self.memo_hits += 1
-            return CompiledStream(array, fallback)
-        array = self.attachments.get(key)
-        if array is not None:
+            return prefix
+        seed = self.attachments.get(key)
+        if seed is not None:
             self.shm_hits += 1
-            self._memo[key] = array
-            return CompiledStream(array, fallback)
-        array = self.store.get(key)
-        if array is not None:
-            self._memo[key] = array
-            return CompiledStream(array, fallback)
-        compiled = compile_stream(fallback(), refs)
-        compiled.setflags(write=False)
-        self.compiles += 1
-        self.compiled_refs += refs
-        mapped = self.store.put(
-            key, compiled,
-            descriptor=stream_descriptor(spec, task_name, include_data_refs),
+        else:
+            seed = self.store.get(key)
+            if seed is not None:
+                self._stored[key] = len(seed)
+        # the factory holds the spec's parts, never this session
+        prefix = StreamPrefix(
+            partial(
+                build_live_stream,
+                spec.name,
+                spec.task(task_name),
+                include_data_refs,
+            ),
+            seed,
         )
-        self._memo[key] = mapped if mapped is not None else compiled
-        return CompiledStream(self._memo[key], fallback)
+        self._memo[key] = prefix
+        self._sources[key] = (spec, task_name, include_data_refs)
+        return prefix
 
     def precompile(
         self,
         spec: WorkloadSpec,
         total_refs: int,
         include_data_refs: bool = False,
-    ) -> int:
-        """Materialize every task stream of ``spec`` before fan-out.
+    ) -> None:
+        """Register every task stream of ``spec``; generate nothing.
 
-        Returns the number of streams compiled fresh (misses); streams
-        already stored are just mapped into the memo.
+        Each stream is looked up (and seeded from an attachment or the
+        store) now, and generated as a run reads it.  ``total_refs`` is
+        the run's budget; no stream is sized by it.
         """
-        before = self.compiles
+        del total_refs
         for task_name in spec.tasks:
-            self.stream_for(spec, task_name, total_refs, include_data_refs)
-        return self.compiles - before
+            self._prefix(spec, task_name, include_data_refs)
+
+    def write_back(self) -> int:
+        """Store every prefix that grew since it was last stored, so the
+        store keeps the longest prefix per key; returns how many."""
+        if not self.store.enabled:
+            return 0
+        written = 0
+        for key, prefix in self._memo.items():
+            array = prefix.array
+            if len(array) > self._stored.get(key, 0):
+                self.store.put(
+                    key, array,
+                    descriptor=stream_descriptor(*self._sources[key]),
+                )
+                self._stored[key] = len(array)
+                written += 1
+        return written
 
     # -- farm transport
 
@@ -136,18 +170,20 @@ class StreamSession:
 
         With the store enabled the blobs travel through the filesystem
         and the transport is just the directory.  With it disabled
-        (``--no-stream-cache``), in-memory streams are published as
-        shared memory segments owned by this session until
-        :meth:`close_transport` (or deactivation) unlinks them.
+        (``--no-stream-cache``), the non-empty prefixes are published
+        as shared memory segments owned by this session until
+        :meth:`close_transport` (or deactivation) unlinks them.  A key
+        is published once, at its length then; a worker grows it past
+        that on demand.
         """
         segments: tuple[ShmSegment, ...] = ()
         if not self.store.enabled and self._memo:
             if self._arena is None:
                 self._arena = ShmArena()
             already = {s.key for s in self._arena.published}
-            for key, array in self._memo.items():
-                if key not in already:
-                    self._arena.publish(key, array)
+            for key, prefix in self._memo.items():
+                if key not in already and len(prefix.array):
+                    self._arena.publish(key, prefix.array)
             segments = tuple(self._arena.published)
         return StreamTransport(
             store_dir=str(self.store.directory),
@@ -212,9 +248,10 @@ def drop_inherited() -> None:
     """Discard a fork-inherited session without tearing it down.
 
     A forked farm worker inherits the master's active session object.
-    Its store handles and shared-memory arena belong to the *parent*;
-    deactivating here would unlink segments the master still serves to
-    sibling workers.  Workers therefore just drop the reference before
+    Its store handles, shared-memory arena and prefixes belong to the
+    *parent*; deactivating here would unlink segments the master still
+    serves to sibling workers, and write the master's prefixes from a
+    worker.  Workers therefore just drop the reference before
     activating their own session.
     """
     global _active
@@ -222,12 +259,14 @@ def drop_inherited() -> None:
 
 
 def deactivate() -> StreamSession:
-    """Remove and return the active session, unlinking its transport."""
+    """Remove and return the active session, unlinking its transport
+    and writing its grown prefixes back to the store."""
     global _active
     if _active is None:
         raise StreamStoreError("no stream session is active")
     session, _active = _active, None
     session.close_transport()
+    session.write_back()
     return session
 
 

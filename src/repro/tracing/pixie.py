@@ -48,15 +48,15 @@ class PixieTracer:
         self.generation_cycles = 0
         self.refs_traced = 0
 
-    def _ensure_stream(self, total_refs: int):
-        """Build the stream on first use: a compiled replay when a
-        stream session is active (sized to this trace request), the
-        plain generator otherwise — bit-identical either way."""
+    def _ensure_stream(self):
+        """Build the stream on first use: a cursor over the session's
+        prefix when a stream session is active, the plain generator
+        otherwise — bit-identical either way."""
         if self._stream is None:
             session = _streams()
             if session is not None:
                 self._stream = session.stream_for(
-                    self.spec, self.spec.primary_task, total_refs, False
+                    self.spec, self.spec.primary_task
                 )
             else:
                 self._stream = self.task_spec.build_stream(self.spec.name)
@@ -70,7 +70,7 @@ class PixieTracer:
         the paper's validation that Tapeworm's user-component miss counts
         are "nearly identical" to Pixie+Cache2000's.
         """
-        stream = self._ensure_stream(total_refs)
+        stream = self._ensure_stream()
         remaining = total_refs
         while remaining > 0:
             n = min(self.chunk_refs, remaining)

@@ -6,8 +6,6 @@ from repro.streams import stream_descriptor, stream_fingerprint
 from repro.streams.keys import (
     MIX_GEOMETRY,
     STREAM_CODE_VERSION,
-    STREAM_MARGIN,
-    compile_refs_for,
     fingerprint_payload,
 )
 from repro.workloads import get_workload
@@ -18,7 +16,7 @@ HEX64 = re.compile(r"^[0-9a-f]{64}$")
 class TestFingerprint:
     def test_is_a_sha256_hex_digest(self):
         spec = get_workload("espresso")
-        key = stream_fingerprint(spec, spec.primary_task, 1000)
+        key = stream_fingerprint(spec, spec.primary_task)
         assert HEX64.match(key)
 
     def test_deterministic_across_spec_instances(self):
@@ -27,50 +25,45 @@ class TestFingerprint:
         a = get_workload("espresso")
         b = get_workload("espresso")
         task = a.primary_task
-        assert stream_fingerprint(a, task, 5000) == stream_fingerprint(
-            b, task, 5000
-        )
+        assert stream_fingerprint(a, task) == stream_fingerprint(b, task)
 
     def test_sensitive_to_every_input(self):
         spec = get_workload("espresso")
         other = get_workload("xlisp")
         task = spec.primary_task
-        base = stream_fingerprint(spec, task, 5000)
-        assert stream_fingerprint(other, other.primary_task, 5000) != base
-        assert stream_fingerprint(spec, task, 5001) != base
-        assert stream_fingerprint(spec, task, 5000, True) != base
-        assert stream_fingerprint(spec, task, 5000, salt="v999") != base
+        base = stream_fingerprint(spec, task)
+        assert stream_fingerprint(other, other.primary_task) != base
+        assert stream_fingerprint(spec, task, True) != base
+        assert stream_fingerprint(spec, task, salt="v999") != base
 
     def test_tasks_of_one_workload_get_distinct_keys(self):
         spec = get_workload("sdet")
-        keys = {
-            stream_fingerprint(spec, task, 5000) for task in spec.tasks
-        }
+        keys = {stream_fingerprint(spec, task) for task in spec.tasks}
         assert len(keys) == len(spec.tasks)
 
     def test_salt_defaults_to_the_code_version(self):
         spec = get_workload("espresso")
         task = spec.primary_task
-        assert stream_fingerprint(spec, task, 100) == stream_fingerprint(
-            spec, task, 100, salt=STREAM_CODE_VERSION
+        assert stream_fingerprint(spec, task) == stream_fingerprint(
+            spec, task, salt=STREAM_CODE_VERSION
         )
 
 
     def test_memoized_key_is_the_digest_of_the_spec(self):
         """The memo changes no key: each is still the digest of the
-        generating spec, so blobs stored before it keep matching."""
+        generating spec, so blobs stored before it keep matching.  No
+        length enters it — a prefix of a stream is the same stream."""
         spec = get_workload("xlisp")
         for task in spec.tasks:
             for data in (False, True):
                 payload = {
                     "stream": stream_descriptor(spec, task, data),
-                    "refs": 777,
                     "include_data_refs": data,
                     "salt": STREAM_CODE_VERSION,
                 }
                 for _ in range(2):
                     assert stream_fingerprint(
-                        spec, task, 777, data
+                        spec, task, data
                     ) == fingerprint_payload(payload)
 
 
@@ -94,9 +87,6 @@ class TestDescriptor:
 
 
 class TestHelpers:
-    def test_compile_refs_adds_the_margin(self):
-        assert compile_refs_for(1000) == 1000 + STREAM_MARGIN
-
     def test_payload_fingerprint_ignores_dict_order(self):
         assert fingerprint_payload({"a": 1, "b": 2}) == fingerprint_payload(
             {"b": 2, "a": 1}

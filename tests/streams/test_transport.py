@@ -89,7 +89,8 @@ class TestSessionTransport:
             store=StreamStore(tmp_path, enabled=False)
         )
         spec = get_workload("espresso")
-        session.precompile(spec, _REFS)
+        for task in spec.tasks:
+            session.stream_for(spec, task).next_chunk(_REFS)
         try:
             transport = session.transport()
             assert not transport.store_enabled
@@ -112,7 +113,10 @@ class TestTransportedExecute:
         direct, _ = timed_execute("table7.measure", dict(params), 3)
         # prime a store so the worker maps instead of compiling
         session = StreamSession(store=StreamStore(tmp_path))
-        session.precompile(get_workload("espresso"), _REFS)
+        spec = get_workload("espresso")
+        for task in spec.tasks:
+            session.stream_for(spec, task).next_chunk(_REFS)
+        assert session.write_back() == len(spec.tasks)
         transport = StreamTransport(store_dir=str(tmp_path))
         transported, _ = transported_execute(
             transport, "table7.measure", dict(params), 3
