@@ -30,6 +30,7 @@ instead of generating.
 
 from __future__ import annotations
 
+import logging
 from contextlib import contextmanager
 from functools import partial
 from typing import Iterator
@@ -51,6 +52,8 @@ from repro.streams.snapshots import SnapshotStore
 from repro.streams.store import StreamStore
 from repro.streams.transport import ShmArena, ShmSegment, StreamTransport
 from repro.workloads.base import WorkloadSpec
+
+logger = logging.getLogger(__name__)
 
 
 class StreamSession:
@@ -148,19 +151,35 @@ class StreamSession:
 
     def write_back(self) -> int:
         """Store every prefix that grew since it was last stored, so the
-        store keeps the longest prefix per key; returns how many."""
+        store keeps the longest prefix per key; returns how many.
+
+        A write that fails is skipped and retried at the next write-back:
+        the store only saves generation, and another process sharing it
+        can move a blob aside while it is being rewritten (a reader that
+        pairs the new blob with the old sidecar quarantines it).
+        """
         if not self.store.enabled:
             return 0
-        written = 0
+        written = failed = 0
         for key, prefix in self._memo.items():
             array = prefix.array
             if len(array) > self._stored.get(key, 0):
-                self.store.put(
-                    key, array,
-                    descriptor=stream_descriptor(*self._sources[key]),
-                )
+                try:
+                    self.store.put(
+                        key, array,
+                        descriptor=stream_descriptor(*self._sources[key]),
+                    )
+                except OSError:
+                    failed += 1
+                    continue
                 self._stored[key] = len(array)
                 written += 1
+        if failed:
+            logger.warning(
+                "could not write %d stream prefix(es) back to %s; they "
+                "are generated again when next read", failed,
+                self.store.directory,
+            )
         return written
 
     # -- farm transport

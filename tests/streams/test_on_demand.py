@@ -149,6 +149,28 @@ class TestStoreReadThroughAndWriteBack:
             run_trap_driven(spec, _config(), options)
         assert session.store.puts == puts
 
+    def test_a_failed_write_back_is_retried_not_raised(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """Another process can move a blob aside mid-rewrite; the store
+        only saves generation, so deactivation warns and the next
+        write-back tries again."""
+        spec = get_workload("espresso")
+        options = RunOptions(total_refs=10_000, trial_seed=7)
+        session = StreamSession(StreamStore(tmp_path))
+        put = session.store.put
+
+        def vanished(key, array, descriptor=None):
+            raise FileNotFoundError(key)
+
+        monkeypatch.setattr(session.store, "put", vanished)
+        with enabled(session):
+            run_trap_driven(spec, _config(), options)
+        assert "could not write" in caplog.text
+        assert not list(tmp_path.glob("*.npy"))
+        monkeypatch.setattr(session.store, "put", put)
+        assert session.write_back() == session.compiles > 0
+
     def test_a_dropped_inherited_session_writes_nothing(self, tmp_path):
         spec = get_workload("espresso")
         activate(StreamSession(StreamStore(tmp_path)))
