@@ -51,8 +51,8 @@ def _in_memory():
 class TestGeneration:
     def test_a_trial_generates_at_most_twice_what_it_reads(self):
         """Every stream grows to at most twice what was read from it,
-        plus its first request; compiling each stream the trial opens
-        to the budget would be ~6x the reads."""
+        plus its first request; compiling each of the 43 streams the
+        trial opens to its budget would be ~12x the reads."""
         spec = get_workload("sdet")
         options = RunOptions(total_refs=30_000, trial_seed=1)
         session = _in_memory()
