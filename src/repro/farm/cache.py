@@ -18,10 +18,13 @@ Layout under the cache directory (default ``.farm-cache/``):
 ``quarantine.jsonl``
     Raw corrupt lines, kept for post-mortems.
 
-All writes are crash-consistent (temp file + ``os.replace`` via
-:mod:`repro.atomicio`), so a scheduler killed mid-write can tear at
-most the final line of the *previous* format — and the loader tolerates
-that too.  Only the scheduler process reads or writes the store —
+All writes are crash-consistent (:mod:`repro.atomicio`): a put is one
+``O_APPEND`` write and one fsync, O(1) in the log's size, and
+``stats.json`` is rewritten whole through a temp file and
+``os.replace``.  A scheduler killed mid-put can leave at most one
+unterminated last line; the next put seals it, and the loader
+quarantines it like any other corrupt line.  Only the scheduler
+process reads or writes the store —
 workers return results to the master — so no file locking is needed.
 Values must be JSON-encodable (floats round-trip exactly through
 ``json``).
@@ -35,7 +38,12 @@ import zlib
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from repro.atomicio import RotatingLedger, atomic_append_line, atomic_write_text
+from repro.atomicio import (
+    RotatingLedger,
+    atomic_append_line,
+    atomic_write_text,
+    read_jsonl,
+)
 from repro.errors import FarmError
 
 RESULTS_FILE = "results.jsonl"
@@ -96,7 +104,7 @@ class ResultCache:
     def _quarantine_path(self) -> Path:
         return self.directory / QUARANTINE_FILE
 
-    def _quarantine(self, line: str, reason: str) -> None:
+    def _quarantine(self, line: bytes, reason: str) -> None:
         self.corrupt += 1
         if not self._corruption_logged:
             self._corruption_logged = True
@@ -110,28 +118,18 @@ class ResultCache:
 
     def _read_records(self) -> Iterator[dict[str, Any]]:
         """Yield verified records; corrupt lines are quarantined."""
-        if not self._results_path.exists():
-            return
-        for line in self._results_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+        for line in read_jsonl(self._results_path):
+            record = line.record
+            if record is None:
                 # a torn or truncated trailing line, or garbage bytes
-                self._quarantine(line, "not valid JSON")
-                continue
-            if not isinstance(record, dict) or "key" not in record or (
-                "value" not in record
-            ):
-                self._quarantine(line, "missing key/value fields")
-                continue
-            if "crc" in record and record["crc"] != record_crc(record):
-                self._quarantine(line, "CRC mismatch")
-                continue
-            # pre-CRC records (no "crc" field) are accepted as-is
-            yield record
+                self._quarantine(line.raw, line.problem)
+            elif "key" not in record or "value" not in record:
+                self._quarantine(line.raw, "missing key/value fields")
+            elif "crc" in record and record["crc"] != record_crc(record):
+                self._quarantine(line.raw, "CRC mismatch")
+            else:
+                # pre-CRC records (no "crc" field) are accepted as-is
+                yield record
 
     def _load(self) -> dict[str, Any]:
         if self._index is None:
@@ -258,7 +256,7 @@ class ResultCache:
         if self._stats_path.exists():
             try:
                 stats.update(json.loads(self._stats_path.read_text()))
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, UnicodeDecodeError):
                 pass
         return stats
 

@@ -42,14 +42,13 @@ that recompiles.  The chaos suite pins this.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.atomicio import atomic_write_text
+from repro.atomicio import atomic_write_bytes, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -233,25 +232,16 @@ class CacheGC:
         path = Path(directory) / RESULTS_FILE
         report = TierReport(tier="farm", directory=str(path.parent))
         self.reports.append(report)
-        if not path.exists():
-            return report
         try:
-            raw_lines = path.read_text().splitlines()
+            report.bytes_before = path.stat().st_size
+            # (key, line) in append order; torn tails die in the rewrite
+            records = [
+                (str(line.record.get("key", "")), line.raw)
+                for line in read_jsonl(path)
+                if line.record is not None
+            ]
         except OSError:
             return report
-        report.bytes_before = path.stat().st_size
-        records: list[tuple[str, str]] = []  # (key, line), append order
-        for line in raw_lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tails die in the rewrite
-            if not isinstance(record, dict):
-                continue
-            records.append((str(record.get("key", "")), line))
         report.scanned = len(records)
         if (
             self.budget_bytes is None
@@ -260,7 +250,7 @@ class CacheGC:
             report.bytes_after = report.bytes_before
             return report
         # newest-first keep list: later lines supersede earlier ones
-        kept: list[tuple[str, str]] = []
+        kept: list[tuple[str, bytes]] = []
         seen: set[str] = set()
         budget = self.budget_bytes
         total = 0
@@ -277,9 +267,9 @@ class CacheGC:
             kept.append((key, line))
             total += cost
         kept.reverse()  # restore append order
-        body = "".join(line + "\n" for _, line in kept)
-        atomic_write_text(path, body)
-        report.bytes_after = len(body.encode("utf-8"))
+        body = b"".join(line + b"\n" for _, line in kept)
+        atomic_write_bytes(path, body)
+        report.bytes_after = len(body)
         return report
 
     # -- the all-tiers entry point

@@ -9,11 +9,14 @@ through the state machine::
 
 Each transition is one CRC-guarded JSONL record appended crash-
 consistently (``repro.atomicio``) to ``journal.jsonl`` in the farm
-cache directory, so a master SIGKILLed at any instant leaves either the
-previous complete journal or the new complete journal on disk — never a
-torn record.  On restart, :meth:`JobJournal.incomplete` names exactly
-the jobs whose value was never durably committed, and carries enough of
-each job (measure, params, seed) to rebuild and re-run it.
+cache directory: one ``O_APPEND`` write and one fsync per append, O(1)
+in the journal's size.  An append that returned is durable.  A master
+SIGKILLed inside a write can leave at most one unterminated last line;
+the next append seals it, and replay quarantines and counts it — a torn
+line is never applied.  On restart, :meth:`JobJournal.incomplete`
+names exactly the jobs whose value was never durably committed, and
+carries enough of each job (measure, params, seed) to rebuild and
+re-run it.
 
 Lease epochs and fencing
 ------------------------
@@ -49,7 +52,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.atomicio import RotatingLedger, atomic_append_lines, atomic_write_text
+from repro.atomicio import (
+    RotatingLedger,
+    atomic_append_lines,
+    atomic_write_text,
+    read_jsonl,
+)
 from repro.errors import FarmError
 from repro.farm.cache import record_crc
 
@@ -160,7 +168,7 @@ class JobJournal:
     def path(self) -> Path:
         return self.directory / JOURNAL_FILE
 
-    def _quarantine_line(self, line: str, reason: str) -> None:
+    def _quarantine_line(self, line: bytes, reason: str) -> None:
         self.corrupt += 1
         if not self._corruption_logged:
             self._corruption_logged = True
@@ -173,26 +181,16 @@ class JobJournal:
 
     def _read_ops(self) -> Iterator[dict[str, Any]]:
         """Yield verified journal operations in append order."""
-        if not self.path.exists():
-            return
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self._quarantine_line(line, "not valid JSON")
-                continue
-            if not isinstance(record, dict) or "op" not in record or (
-                "key" not in record
-            ):
-                self._quarantine_line(line, "missing op/key fields")
-                continue
-            if record.get("crc") != record_crc(record):
-                self._quarantine_line(line, "CRC mismatch")
-                continue
-            yield record
+        for line in read_jsonl(self.path):
+            record = line.record
+            if record is None:
+                self._quarantine_line(line.raw, line.problem)
+            elif "op" not in record or "key" not in record:
+                self._quarantine_line(line.raw, "missing op/key fields")
+            elif record.get("crc") != record_crc(record):
+                self._quarantine_line(line.raw, "CRC mismatch")
+            else:
+                yield record
 
     def _replay(self) -> dict[str, JournalEntry]:
         """Fold the op log into the latest per-job state."""

@@ -153,7 +153,7 @@ class StreamStore:
                 return None
             try:
                 sidecar = json.loads(sidecar_path.read_text())
-            except (json.JSONDecodeError, OSError):
+            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
                 self._quarantine(key, "sidecar not valid JSON")
                 self.misses += 1
                 return None
@@ -258,7 +258,7 @@ class StreamStore:
             for sidecar_path in sidecars:
                 try:
                     sidecar = json.loads(sidecar_path.read_text())
-                except (json.JSONDecodeError, OSError):
+                except (json.JSONDecodeError, UnicodeDecodeError, OSError):
                     continue
                 blob_path = self._blob_path(str(sidecar.get("key", "")))
                 if not blob_path.exists():

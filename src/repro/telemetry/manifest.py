@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.atomicio import atomic_append_line
+from repro.atomicio import atomic_append_line, read_jsonl
 from repro.errors import TelemetryError
 
 #: bump when the record layout changes incompatibly
@@ -158,28 +158,22 @@ def write_manifest(
             f"refusing to write an invalid manifest record: {'; '.join(problems)}"
         )
     path = Path(path) if path is not None else DEFAULT_MANIFEST_PATH
-    # crash-consistent append: a kill mid-write can never tear a record
+    # one O_APPEND write and fsync: a kill mid-write can leave one torn
+    # last line, which the next append seals and the reader skips
     atomic_append_line(path, json.dumps(record, sort_keys=True))
     return path
 
 
 def read_manifests(path: str | Path | None = None) -> list[dict[str, Any]]:
-    """All records in the log, oldest first; torn lines are skipped."""
+    """All records in the log, oldest first.
+
+    Torn or corrupt lines are skipped: a torn write loses one record,
+    not the log.
+    """
     path = Path(path) if path is not None else DEFAULT_MANIFEST_PATH
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # a torn write loses one record, not the log
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+    return [
+        line.record for line in read_jsonl(path) if line.record is not None
+    ]
 
 
 def validate_record(record: Mapping[str, Any]) -> list[str]:

@@ -69,6 +69,50 @@ class TestTrailingGarbage:
         assert len(fresh) == 3
         assert fresh.corrupt == 1
 
+    def test_non_utf8_line_is_quarantined_as_raw_bytes(self, tmp_path):
+        _seed_cache(tmp_path)
+        with open(tmp_path / "results.jsonl", "ab") as handle:
+            handle.write(b'{"key": "\xff"}\n')
+        fresh = ResultCache(tmp_path)
+        assert len(fresh) == 3
+        assert fresh.corrupt == 1
+        quarantined = (tmp_path / "quarantine.jsonl").read_bytes()
+        assert quarantined == b'{"key": "\xff"}\n'
+
+    def test_torn_tail_at_every_length_of_the_last_record(self, tmp_path):
+        """A put killed at any byte of its record: the earlier records
+        load, the fragment is quarantined once, and the next put starts
+        on its own line.  Dropping only the final newline loses
+        nothing."""
+        _seed_cache(tmp_path / "whole")
+        whole = (tmp_path / "whole" / "results.jsonl").read_bytes()
+        last = whole.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        head = len(whole) - len(last) - 1
+        for cut in range(1, len(last) + 1):
+            directory = tmp_path / f"cut{cut}"
+            directory.mkdir()
+            (directory / "results.jsonl").write_bytes(whole[: head + cut])
+            torn = cut < len(last)
+            fresh = ResultCache(directory)
+            assert len(fresh) == (2 if torn else 3)
+            assert fresh.corrupt == (1 if torn else 0)
+            fresh.put("after", 7.0, measure="test.double", seed=9)
+            assert fresh.corrupt == (1 if torn else 0)
+            reopened = ResultCache(directory)
+            assert reopened.get("after") == (True, 7.0)
+            assert reopened.get("key-1") == (True, 1.5)
+            assert reopened.get("key-2")[0] is not torn
+            assert reopened.corrupt == (1 if torn else 0)
+        quarantined = (tmp_path / "cut1" / "quarantine.jsonl").read_bytes()
+        assert quarantined.startswith(last[:1] + b"\n")
+
+    def test_non_utf8_stats_file_starts_fresh_counters(self, tmp_path):
+        cache = _seed_cache(tmp_path)
+        (tmp_path / "stats.json").write_bytes(b'{"runs": \xff}')
+        cache.record_run({"jobs": 3})
+        stats = cache.read_stats()
+        assert stats["runs"] == 1 and stats["jobs"] == 3
+
     def test_wrong_shape_json_is_quarantined(self, tmp_path):
         _seed_cache(tmp_path)
         path = tmp_path / "results.jsonl"

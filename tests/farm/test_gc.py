@@ -123,6 +123,18 @@ class TestFarmTier:
         hit, value = ResultCache(tmp_path).get(key)
         assert hit and value == 2.0
 
+    def test_non_utf8_line_dies_in_the_rewrite(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(f"{1:064x}", 1.0, measure="test.double", seed=1)
+        path = tmp_path / RESULTS_FILE
+        good = path.read_bytes()
+        with path.open("ab") as handle:
+            handle.write(b"\xff\n")
+        report = CacheGC(budget_bytes=len(good)).collect_farm_tier(tmp_path)
+        assert report.scanned == 1 and report.evicted == 0
+        assert path.read_bytes() == good
+        assert report.bytes_after == len(good)
+
     def test_under_budget_is_untouched(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(f"{1:064x}", 1.0, measure="test.double", seed=1)

@@ -91,6 +91,15 @@ class TestCorruption:
         assert fresh.get("k1") is None
         assert fresh.corrupt == 1
 
+    def test_non_utf8_sidecar_is_quarantined(self, tmp_path):
+        _seed_store(tmp_path)
+        (tmp_path / "k1.json").write_bytes(b'{"crc": "\xff"}')
+        fresh = StreamStore(tmp_path)
+        assert fresh.stats()["blobs"] == 1
+        assert fresh.get("k1") is None
+        assert fresh.corrupt == 1
+        assert fresh.get("k2") is not None
+
     def test_blob_without_sidecar_is_a_plain_miss(self, tmp_path):
         """An interrupted put (blob committed, sidecar not) must read as
         a miss — the sidecar is the commit point — and not count as

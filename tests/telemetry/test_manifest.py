@@ -90,6 +90,14 @@ class TestWriteRead:
         records = read_manifests(path)
         assert records[0]["seed"] == 1
 
+    def test_non_utf8_line_is_skipped_not_fatal(self, tmp_path):
+        path = tmp_path / "manifests.jsonl"
+        write_manifest(_manifest(seed=1), path)
+        with path.open("ab") as handle:
+            handle.write(b"\xff\n")
+        write_manifest(_manifest(seed=2), path)
+        assert [r["seed"] for r in read_manifests(path)] == [1, 2]
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "manifests.jsonl"
         write_manifest(_manifest(), path)
