@@ -156,7 +156,9 @@ class StreamSession:
         A write that fails is skipped and retried at the next write-back:
         the store only saves generation, and another process sharing it
         can move a blob aside while it is being rewritten (a reader that
-        pairs the new blob with the old sidecar quarantines it).
+        pairs the new blob with the old sidecar quarantines it), or swap
+        in a blob of another length between ``np.load``'s header read and
+        its mapping (``ValueError``).
         """
         if not self.store.enabled:
             return 0
@@ -169,7 +171,7 @@ class StreamSession:
                         key, array,
                         descriptor=stream_descriptor(*self._sources[key]),
                     )
-                except OSError:
+                except (OSError, ValueError):
                     failed += 1
                     continue
                 self._stored[key] = len(array)

@@ -152,24 +152,30 @@ class TestStoreReadThroughAndWriteBack:
     def test_a_failed_write_back_is_retried_not_raised(
         self, tmp_path, monkeypatch, caplog
     ):
-        """Another process can move a blob aside mid-rewrite; the store
-        only saves generation, so deactivation warns and the next
-        write-back tries again."""
+        """Another process can move a blob aside mid-rewrite, or swap in
+        one of another length while the writer maps it; the store only
+        saves generation, so deactivation warns and the next write-back
+        tries again."""
         spec = get_workload("espresso")
         options = RunOptions(total_refs=10_000, trial_seed=7)
-        session = StreamSession(StreamStore(tmp_path))
-        put = session.store.put
+        for error in (
+            FileNotFoundError("blob moved aside"),
+            ValueError("mmap length is greater than file size"),
+        ):
+            directory = tmp_path / type(error).__name__
+            session = StreamSession(StreamStore(directory))
+            put = session.store.put
 
-        def vanished(key, array, descriptor=None):
-            raise FileNotFoundError(key)
+            def failing(key, array, descriptor=None, error=error):
+                raise error
 
-        monkeypatch.setattr(session.store, "put", vanished)
-        with enabled(session):
-            run_trap_driven(spec, _config(), options)
-        assert "could not write" in caplog.text
-        assert not list(tmp_path.glob("*.npy"))
-        monkeypatch.setattr(session.store, "put", put)
-        assert session.write_back() == session.compiles > 0
+            monkeypatch.setattr(session.store, "put", failing)
+            with enabled(session):
+                run_trap_driven(spec, _config(), options)
+            assert "could not write" in caplog.text
+            assert not list(directory.glob("*.npy"))
+            monkeypatch.setattr(session.store, "put", put)
+            assert session.write_back() == session.compiles > 0
 
     def test_a_dropped_inherited_session_writes_nothing(self, tmp_path):
         spec = get_workload("espresso")
