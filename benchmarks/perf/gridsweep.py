@@ -24,9 +24,8 @@ deliberately generous to the per-config side).
 Each timed side takes the best of three repetitions with fresh state.
 Results are emitted as
 ``BENCH_PR10.json`` — the same schema-versioned envelope as
-``BENCH_PR3.json`` — and the trend watchdog (``benchmarks/trend.py``)
-gates ``results.speedup`` against the best committed snapshot.  Run
-with::
+``BENCH_PR3.json`` — and ``--check-speedup`` gates ``results.speedup``
+against a fixed bound.  Run with::
 
     PYTHONPATH=src python -m benchmarks.perf.gridsweep --budget quick \\
         --check-speedup 5

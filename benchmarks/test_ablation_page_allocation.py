@@ -11,7 +11,7 @@ execution farm via the generic ``trap.measure``.
 from benchmarks.conftest import run_once
 from repro.analysis.kessler import conflict_peak_cache_pages
 from repro.experiments import budget_refs
-from repro.harness.experiment import run_trials_farm
+from repro.harness.experiment import run_trials
 from repro.harness.tables import format_table, pct
 from repro.workloads.registry import get_workload
 
@@ -19,7 +19,7 @@ from repro.workloads.registry import get_workload
 def _sweep(budget, farm):
     total_refs = budget_refs(budget)
     return {
-        policy: run_trials_farm(
+        policy: run_trials(
             "trap.measure",
             {
                 "workload": "mpeg_play",

@@ -53,7 +53,6 @@ from repro.harness import (
     run_trace_driven,
     run_trap_driven,
     run_trials,
-    run_trials_farm,
     run_warm_trials,
 )
 from repro.farm import Farm, FarmConfig, Job
@@ -101,7 +100,6 @@ __all__ = [
     "run_trap_driven",
     "run_trace_driven",
     "run_trials",
-    "run_trials_farm",
     "Farm",
     "FarmConfig",
     "Job",

@@ -878,7 +878,7 @@ def _reproduce_one(
     takes = inspect.signature(runner).parameters
     if "budget" not in takes:
         result = runner()
-    elif farm is not None and "farm" in takes:
+    elif "farm" in takes:
         result = runner(budget, farm=farm)
     else:
         result = runner(budget)

@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING
 from repro._types import Indexing
 from repro.caches.config import CacheConfig
 from repro.experiments import budget_refs
-from repro.experiments.table7 import measure_once
-from repro.harness.experiment import TrialStats, run_trials, run_trials_farm
+from repro.harness.experiment import TrialStats, run_trials
 from repro.harness.tables import format_table, pct
 from repro.workloads.registry import WORKLOAD_NAMES
 
@@ -42,31 +41,18 @@ def run_table10(
     workloads: tuple[str, ...] = WORKLOAD_NAMES,
     farm: "Farm | None" = None,
 ) -> Table10Result:
-    total_refs = budget_refs(budget)
-    cache = CacheConfig(size_bytes=16 * 1024, indexing=Indexing.VIRTUAL)
-    stats = {}
-    for name in workloads:
-        if farm is not None:
-            stats[name] = run_trials_farm(
-                "table7.measure",
-                {
-                    "workload": name,
-                    "total_refs": total_refs,
-                    "cache": cache,
-                    "sampling": 1,
-                },
-                n_trials,
-                base_seed=100,
-                farm=farm,
-            )
-        else:
-            stats[name] = run_trials(
-                lambda seed, name=name: measure_once(
-                    name, seed, total_refs, cache=cache, sampling=1
-                ),
-                n_trials,
-                base_seed=100,
-            )
+    params = {
+        "total_refs": budget_refs(budget),
+        "cache": CacheConfig(size_bytes=16 * 1024, indexing=Indexing.VIRTUAL),
+        "sampling": 1,
+    }
+    stats = {
+        name: run_trials(
+            "table7.measure", {"workload": name, **params}, n_trials,
+            base_seed=100, farm=farm,
+        )
+        for name in workloads
+    }
     return Table10Result(stats=stats, n_trials=n_trials)
 
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from repro.caches.config import CacheConfig
 from repro.core.tapeworm import TapewormConfig
 from repro.experiments import budget_refs
-from repro.harness.experiment import TrialStats, run_trials, run_trials_farm
+from repro.harness.experiment import TrialStats, run_trials
 from repro.harness.runner import RunOptions, run_trap_driven
 from repro.harness.tables import format_table, pct
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
@@ -65,22 +65,13 @@ def run_table7(
     farm: "Farm | None" = None,
 ) -> Table7Result:
     total_refs = budget_refs(budget)
-    stats = {}
-    for name in workloads:
-        if farm is not None:
-            stats[name] = run_trials_farm(
-                "table7.measure",
-                {"workload": name, "total_refs": total_refs},
-                n_trials,
-                base_seed=100,
-                farm=farm,
-            )
-        else:
-            stats[name] = run_trials(
-                lambda seed, name=name: measure_once(name, seed, total_refs),
-                n_trials,
-                base_seed=100,
-            )
+    stats = {
+        name: run_trials(
+            "table7.measure", {"workload": name, "total_refs": total_refs},
+            n_trials, base_seed=100, farm=farm,
+        )
+        for name in workloads
+    }
     return Table7Result(stats=stats, n_trials=n_trials)
 
 

@@ -15,7 +15,8 @@ from repro._types import Component, Indexing
 from repro.caches.config import CacheConfig
 from repro.core.tapeworm import TapewormConfig
 from repro.experiments import budget_refs
-from repro.harness.experiment import TrialStats, run_trials
+from repro.farm.jobs import Job
+from repro.harness.experiment import TrialStats, run_jobs
 from repro.harness.runner import RunOptions, run_trap_driven
 from repro.harness.tables import format_table, pct
 from repro.workloads.registry import get_workload
@@ -60,35 +61,9 @@ def run_table8(
     sizes_kb: tuple[int, ...] = SIZES_KB,
     farm: "Farm | None" = None,
 ) -> Table8Result:
+    """The whole size x sampling sweep as one job batch, so a farm's
+    pool of workers fills instead of draining per configuration."""
     total_refs = budget_refs(budget)
-    if farm is not None:
-        return _run_table8_farm(farm, workload, n_trials, sizes_kb, total_refs)
-    sampled, unsampled = {}, {}
-    for size_kb in sizes_kb:
-        sampled[size_kb] = run_trials(
-            lambda seed, s=size_kb: _measure(workload, s, 8, seed, total_refs),
-            n_trials,
-            base_seed=200,
-        )
-        unsampled[size_kb] = run_trials(
-            lambda seed, s=size_kb: _measure(workload, s, 1, seed, total_refs),
-            n_trials,
-            base_seed=200,
-        )
-    return Table8Result(sampled=sampled, unsampled=unsampled, n_trials=n_trials)
-
-
-def _run_table8_farm(
-    farm: "Farm",
-    workload: str,
-    n_trials: int,
-    sizes_kb: tuple[int, ...],
-    total_refs: int,
-) -> Table8Result:
-    """The whole size x sampling sweep as one job batch, so a pool of
-    workers fills instead of draining per configuration."""
-    from repro.farm.jobs import Job
-
     variants = [
         (size_kb, sampling) for size_kb in sizes_kb for sampling in (8, 1)
     ]
@@ -106,7 +81,7 @@ def _run_table8_farm(
         for size_kb, sampling in variants
         for trial in range(n_trials)
     ]
-    values = iter(farm.run_jobs(jobs))
+    values = iter(run_jobs(jobs, farm))
     sampled: dict[int, TrialStats] = {}
     unsampled: dict[int, TrialStats] = {}
     for size_kb, sampling in variants:

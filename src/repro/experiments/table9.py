@@ -19,7 +19,8 @@ from repro._types import Component, Indexing
 from repro.caches.config import CacheConfig
 from repro.core.tapeworm import TapewormConfig
 from repro.experiments import budget_refs
-from repro.harness.experiment import TrialStats, run_trials
+from repro.farm.jobs import Job
+from repro.harness.experiment import TrialStats, run_jobs
 from repro.harness.runner import RunOptions, run_trap_driven
 from repro.harness.tables import format_table, pct
 from repro.workloads.registry import get_workload
@@ -60,38 +61,9 @@ def run_table9(
     sizes_kb: tuple[int, ...] = SIZES_KB,
     farm: "Farm | None" = None,
 ) -> Table9Result:
+    """Both indexings at every size as one job batch, run in this
+    process or, with ``farm``, through its cache and pool."""
     total_refs = budget_refs(budget)
-    if farm is not None:
-        return _run_table9_farm(farm, workload, n_trials, sizes_kb, total_refs)
-    physical, virtual = {}, {}
-    for size_kb in sizes_kb:
-        physical[size_kb] = run_trials(
-            lambda seed, s=size_kb: _measure(
-                workload, s, Indexing.PHYSICAL, seed, total_refs
-            ),
-            n_trials,
-            base_seed=300,
-        )
-        virtual[size_kb] = run_trials(
-            lambda seed, s=size_kb: _measure(
-                workload, s, Indexing.VIRTUAL, seed, total_refs
-            ),
-            n_trials,
-            base_seed=300,
-        )
-    return Table9Result(physical=physical, virtual=virtual, n_trials=n_trials)
-
-
-def _run_table9_farm(
-    farm: "Farm",
-    workload: str,
-    n_trials: int,
-    sizes_kb: tuple[int, ...],
-    total_refs: int,
-) -> Table9Result:
-    """Both indexings at every size as one job batch."""
-    from repro.farm.jobs import Job
-
     variants = [
         (size_kb, indexing)
         for size_kb in sizes_kb
@@ -111,7 +83,7 @@ def _run_table9_farm(
         for size_kb, indexing in variants
         for trial in range(n_trials)
     ]
-    values = iter(farm.run_jobs(jobs))
+    values = iter(run_jobs(jobs, farm))
     physical: dict[int, TrialStats] = {}
     virtual: dict[int, TrialStats] = {}
     for size_kb, indexing in variants:

@@ -1,12 +1,13 @@
 """repro.farm — parallel trial execution with content-addressed caching.
 
 The experiments in this library are embarrassingly parallel: every
-trial is seeded (``base_seed + trial``) and fully deterministic, so the
-serial loops in :mod:`repro.harness.experiment` are pure overhead.  The
-farm turns a batch of trials into :class:`Job`\\ s, skips any whose
-content-addressed key is already in the on-disk :class:`ResultCache`,
-and shards the rest across a process pool — with output guaranteed
-bit-for-bit identical to the serial path.
+trial is seeded (``base_seed + trial``) and fully deterministic, so
+running a batch of trials one at a time is pure overhead.  Given a
+batch of :class:`Job`\\ s (:func:`repro.harness.experiment.run_jobs`),
+the farm skips any whose content-addressed key is already in the
+on-disk :class:`ResultCache` and shards the rest across a process pool
+— with output guaranteed bit-for-bit identical to running the same
+jobs in process.
 
 Quick start::
 

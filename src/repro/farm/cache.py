@@ -82,7 +82,8 @@ class ResultCache:
         self.corrupt = 0
         self._corrupt_recorded = 0
         self._corruption_logged = False
-        self._index: dict[str, Any] | None = None
+        #: the latest verified record per key, read from the log once
+        self._index: dict[str, dict[str, Any]] | None = None
         #: entries a clear/GC left in place because a journal lease
         #: still references them
         self.pinned_skips = 0
@@ -131,11 +132,11 @@ class ResultCache:
                 # pre-CRC records (no "crc" field) are accepted as-is
                 yield record
 
-    def _load(self) -> dict[str, Any]:
+    def _load(self) -> dict[str, dict[str, Any]]:
         if self._index is None:
             self._index = {}
             for record in self._read_records():
-                self._index[record["key"]] = record["value"]
+                self._index[record["key"]] = record
         return self._index
 
     # -- the get/put surface
@@ -144,7 +145,7 @@ class ResultCache:
         """Return ``(hit, value)``; a miss returns ``(False, None)``."""
         if self.enabled and key in self._load():
             self.hits += 1
-            return True, self._load()[key]
+            return True, self._load()[key]["value"]
         self.misses += 1
         return False, None
 
@@ -170,7 +171,7 @@ class ResultCache:
         atomic_append_line(
             self._results_path, json.dumps(record, sort_keys=True)
         )
-        self._load()[key] = value
+        self._load()[key] = record
 
     def __len__(self) -> int:
         return len(self._load())
@@ -180,10 +181,7 @@ class ResultCache:
 
     def entries(self) -> Iterator[dict[str, Any]]:
         """Yield the stored verified records (latest per key)."""
-        latest: dict[str, dict[str, Any]] = {}
-        for record in self._read_records():
-            latest[record["key"]] = record
-        yield from latest.values()
+        yield from self._load().values()
 
     def _contained(self, path: Path) -> bool:
         """Whether ``path`` resolves to inside the cache directory."""
@@ -238,7 +236,7 @@ class ResultCache:
             ]
             atomic_write_text(self._results_path, "\n".join(lines) + "\n")
             for record in survivors:
-                self._index[record["key"]] = record["value"]
+                self._index[record["key"]] = record
         return count - len(survivors)
 
     # -- cumulative run statistics (the ``repro farm stats`` view)
@@ -255,9 +253,17 @@ class ResultCache:
         }
         if self._stats_path.exists():
             try:
-                stats.update(json.loads(self._stats_path.read_text()))
+                stored = json.loads(self._stats_path.read_text())
             except (json.JSONDecodeError, UnicodeDecodeError):
-                pass
+                stored = None
+            if isinstance(stored, dict):
+                # only the known counters, and only numbers (not bools):
+                # the rest is ignored, as unparseable JSON is
+                stats.update(
+                    (name, value)
+                    for name, value in stored.items()
+                    if name in stats and type(value) in (int, float)
+                )
         return stats
 
     def record_run(self, summary: Mapping[str, Any]) -> None:

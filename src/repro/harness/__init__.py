@@ -14,7 +14,7 @@ from repro.harness.runner import (
     run_trap_driven,
     run_warm_trials,
 )
-from repro.harness.experiment import TrialStats, run_trials, run_trials_farm
+from repro.harness.experiment import TrialStats, run_trials
 from repro.harness.tables import format_table
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "run_warm_trials",
     "TrialStats",
     "run_trials",
-    "run_trials_farm",
     "format_table",
 ]

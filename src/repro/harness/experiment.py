@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
+    from repro.farm.jobs import Job
     from repro.farm.pool import Farm
 
 
@@ -113,34 +114,28 @@ def _validate_trial_args(n_trials: int, base_seed: int) -> None:
         raise ConfigError(f"n_trials must be positive, got {n_trials}")
 
 
+def run_jobs(jobs: Sequence["Job"], farm: "Farm | None" = None) -> list[Any]:
+    """Each job's value, in job order: through ``farm``'s cache and pool,
+    or else each job in turn in this process through
+    :func:`~repro.farm.registry.execute_job`, the function a farm worker
+    runs, with nothing fingerprinted, cached or written."""
+    if farm is not None:
+        return farm.run_jobs(jobs)
+    from repro.farm.registry import execute_job
+
+    return [execute_job(job.measure, job.params, job.seed) for job in jobs]
+
+
 def run_trials(
-    measure: Callable[[int], float],
-    n_trials: int,
-    base_seed: int = 0,
-) -> TrialStats:
-    """Run ``measure(seed)`` for ``n_trials`` distinct seeds."""
-    _validate_trial_args(n_trials, base_seed)
-    return TrialStats(
-        values=tuple(measure(base_seed + trial) for trial in range(n_trials))
-    )
-
-
-def run_trials_farm(
     measure: str,
     params: Mapping[str, Any],
     n_trials: int,
     base_seed: int = 0,
-    *,
-    farm: "Farm",
+    farm: "Farm | None" = None,
 ) -> TrialStats:
-    """Farm-backed :func:`run_trials`.
-
-    ``measure`` names a registered measure (:mod:`repro.farm.registry`)
-    and ``params`` its non-seed keyword arguments; the farm runs the
-    ``base_seed + trial`` seed ladder through its cache and process
-    pool.  Because each trial is independently seeded, the resulting
-    :class:`TrialStats` is bit-for-bit identical to the serial path.
-    """
+    """Run a registered measure (:mod:`repro.farm.registry`) with its
+    non-seed keyword arguments ``params`` for seeds ``base_seed`` ..
+    ``base_seed + n_trials - 1``, through :func:`run_jobs`."""
     from repro.farm.jobs import Job
 
     _validate_trial_args(n_trials, base_seed)
@@ -148,7 +143,7 @@ def run_trials_farm(
         Job(measure=measure, params=dict(params), seed=base_seed + trial)
         for trial in range(n_trials)
     ]
-    return TrialStats(values=tuple(float(v) for v in farm.run_jobs(jobs)))
+    return TrialStats(values=tuple(float(v) for v in run_jobs(jobs, farm)))
 
 
 def stats_of(values: Sequence[float]) -> TrialStats:

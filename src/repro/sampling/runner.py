@@ -21,9 +21,10 @@ shared snapshots would leak one trial's damage into every other — the
 same reasoning that bypasses PR 5 snapshot reuse, except here there is
 no correct slow path, so it is an error, not a fallback.
 
-Intervals fan out through the farm as cached jobs (measure
-``sampling.interval``); each job's result is a small JSON dict of raw
-interval counters, and the estimator reassembles them master-side.
+Each (trial, interval) pair is one job (measure ``sampling.interval``),
+run in this process or fanned out through the farm as a cached job;
+each job's result is a small JSON dict of raw interval counters, and
+the estimator reassembles them master-side.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.core.tapeworm import TapewormConfig
 from repro.errors import ConfigError
+from repro.farm.jobs import Job
 from repro.faults.session import active as _faults
+from repro.harness.experiment import run_jobs
 from repro.harness.runner import (
     RunOptions,
     _boot_execution,
@@ -323,49 +326,32 @@ def run_sampled_trials(
 ) -> SampledRunResult:
     """N sampled trials of one configuration, reassembled into estimates.
 
-    Serially, intervals run in (trial, interval) order against the
-    in-process snapshot store; with a ``farm``, each (trial, interval)
-    pair is one cached job and workers amortize warm state per process.
-    Either way the estimator sees the same measurement multiset.
+    Each (trial, interval) pair is one ``sampling.interval`` job, run
+    in (trial, interval) order through :func:`run_jobs`: in this process
+    against the session's snapshot store, or with a ``farm`` as cached
+    jobs whose workers amortize warm state per process.  Either way the
+    estimator sees the same measurements.
     """
     if n_trials <= 0:
         raise ConfigError(f"n_trials must be positive, got {n_trials}")
     _validate_sampled_args(spec, options, plan)
-    intervals = [s.interval for s in plan.samples]
-    if farm is not None:
-        from repro.farm.jobs import Job
-
-        jobs = [
-            Job(
-                measure="sampling.interval",
-                params={
-                    "workload": spec.name,
-                    "tapeworm": tw_config,
-                    "options": replace(options, trial_seed=0),
-                    "plan": plan.to_dict(),
-                    "interval": interval,
-                    "warm_seed": warm_seed,
-                },
-                seed=base_seed + trial,
-            )
-            for trial in range(n_trials)
-            for interval in intervals
-        ]
-        measurements = tuple(farm.run_jobs(jobs))
-    else:
-        measurements = tuple(
-            measure_interval(
-                spec,
-                tw_config,
-                replace(options, trial_seed=base_seed + trial),
-                plan,
-                interval,
-                trial_seed=base_seed + trial,
-                warm_seed=warm_seed,
-            )
-            for trial in range(n_trials)
-            for interval in intervals
+    jobs = [
+        Job(
+            measure="sampling.interval",
+            params={
+                "workload": spec.name,
+                "tapeworm": tw_config,
+                "options": replace(options, trial_seed=0),
+                "plan": plan.to_dict(),
+                "interval": sample.interval,
+                "warm_seed": warm_seed,
+            },
+            seed=base_seed + trial,
         )
+        for trial in range(n_trials)
+        for sample in plan.samples
+    ]
+    measurements = tuple(run_jobs(jobs, farm))
     sizes = plan.phase_sizes()
     weights = {
         phase: count / plan.n_intervals for phase, count in sizes.items()

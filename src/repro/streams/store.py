@@ -154,7 +154,9 @@ class StreamStore:
             try:
                 sidecar = json.loads(sidecar_path.read_text())
             except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-                self._quarantine(key, "sidecar not valid JSON")
+                sidecar = None
+            if not isinstance(sidecar, dict):
+                self._quarantine(key, "sidecar not a JSON object")
                 self.misses += 1
                 return None
             try:
@@ -259,6 +261,8 @@ class StreamStore:
                 try:
                     sidecar = json.loads(sidecar_path.read_text())
                 except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+                    continue
+                if not isinstance(sidecar, dict):
                     continue
                 blob_path = self._blob_path(str(sidecar.get("key", "")))
                 if not blob_path.exists():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.farm import Farm, FarmConfig
-from repro.harness.experiment import run_trials_farm
+from repro.harness.experiment import run_trials
 
 
 @pytest.fixture
@@ -62,10 +62,43 @@ def test_table10_farm_equals_serial(farm):
     assert farmed.stats["jpeg_play"].values == serial.stats["jpeg_play"].values
 
 
-def test_run_trials_farm_validates_arguments(farm):
+def test_run_trials_validates_arguments_through_a_farm(farm):
     with pytest.raises(ConfigError):
-        run_trials_farm("table7.measure", {}, 2.5, farm=farm)
+        run_trials("table7.measure", {}, 2.5, farm=farm)
     with pytest.raises(ConfigError):
-        run_trials_farm("table7.measure", {}, 2, base_seed=1.0, farm=farm)
+        run_trials("table7.measure", {}, 2, base_seed=1.0, farm=farm)
     with pytest.raises(ConfigError):
-        run_trials_farm("table7.measure", {}, 0, farm=farm)
+        run_trials("table7.measure", {}, 0, farm=farm)
+
+
+def test_sampled_trials_farm_equals_in_process(farm):
+    from repro.caches.config import CacheConfig
+    from repro.core.tapeworm import TapewormConfig
+    from repro.experiments import budget_refs
+    from repro.experiments.table7 import default_interval_refs
+    from repro.harness.runner import RunOptions
+    from repro.sampling import build_plan, profile_workload, run_sampled_trials
+    from repro.workloads.registry import get_workload
+
+    spec = get_workload("espresso")
+    options = RunOptions(total_refs=budget_refs("tiny"), trial_seed=100)
+    interval = default_interval_refs(options.total_refs, options.chunk_refs)
+    plan = build_plan(
+        profile_workload(spec, options.total_refs, interval), seed=100
+    )
+    config = TapewormConfig(
+        cache=CacheConfig(size_bytes=16 * 1024), sampling=8, sampling_seed=100
+    )
+
+    def sampled(farm=None):
+        return run_sampled_trials(
+            spec, config, options, plan,
+            n_trials=2, base_seed=100, warm_seed=100, farm=farm,
+        )
+
+    farmed = sampled(farm)
+    if farm.last_run.fallback_serial:  # pragma: no cover - restricted env
+        pytest.skip("no process pool available")
+    in_process = sampled()
+    assert farmed.measurements == in_process.measurements
+    assert farmed.estimates == in_process.estimates

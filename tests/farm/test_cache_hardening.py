@@ -113,6 +113,38 @@ class TestTrailingGarbage:
         stats = cache.read_stats()
         assert stats["runs"] == 1 and stats["jobs"] == 3
 
+    def test_stats_file_keeps_only_numeric_known_counters(self, tmp_path):
+        cache = _seed_cache(tmp_path)
+        path = tmp_path / "stats.json"
+        path.write_text("[1]\n")  # valid JSON, not an object
+        cache.record_run({"jobs": 3})
+        assert cache.read_stats()["runs"] == 1
+        path.write_text(
+            json.dumps({"runs": "x", "jobs": True, "executed": 4, "extra": 9})
+        )
+        cache.record_run({"jobs": 3, "executed": 1})
+        stats = cache.read_stats()
+        assert stats["runs"] == 1 and stats["jobs"] == 3
+        assert stats["executed"] == 5
+        assert "extra" not in stats
+
+    def test_one_instance_quarantines_a_bad_line_once(self, tmp_path):
+        _seed_cache(tmp_path)
+        with open(tmp_path / "results.jsonl", "a") as handle:
+            handle.write('{"key": "torn", "val')  # no newline, cut
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 3
+        assert len(list(cache.entries())) == 3
+        cache.record_run({"jobs": 0})
+        assert cache.corrupt == 1
+        assert cache.read_stats()["cache_corrupt"] == 1
+        quarantine = (tmp_path / "quarantine.jsonl").read_bytes()
+        assert len(quarantine.splitlines()) == 1
+        # a pinned clear reads its survivors from the same index
+        assert cache.clear(pinned={"key-0"}) == 2
+        assert cache.corrupt == 1
+        assert ResultCache(tmp_path).get("key-0") == (True, 0.0)
+
     def test_wrong_shape_json_is_quarantined(self, tmp_path):
         _seed_cache(tmp_path)
         path = tmp_path / "results.jsonl"

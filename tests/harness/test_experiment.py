@@ -2,8 +2,21 @@
 
 import pytest
 
+import tests.farm.measures_for_tests  # noqa: F401  (registers test.* measures)
 from repro.errors import ConfigError
+from repro.farm import register
 from repro.harness.experiment import TrialStats, run_trials, stats_of
+
+#: seeds :func:`_record` saw, in the order it saw them
+_SEEN: list[int] = []
+
+
+def _record(seed: int) -> float:
+    _SEEN.append(seed)
+    return float(seed)
+
+
+register("test.experiment.record", _record)
 
 
 def test_table7_statistics():
@@ -43,18 +56,33 @@ def test_row_keys():
     }
 
 
-def test_run_trials_passes_distinct_seeds():
-    seen = []
-    stats = run_trials(lambda seed: (seen.append(seed), float(seed))[1], 4, base_seed=10)
-    assert seen == [10, 11, 12, 13]
+def test_run_trials_passes_distinct_seeds(tmp_path):
+    counter = tmp_path / "seeds.txt"
+    stats = run_trials(
+        "test.counted", {"counter_file": str(counter)}, 4, base_seed=10
+    )
+    assert counter.read_text().split() == ["10", "11", "12", "13"]
     assert stats.n == 4
+
+
+def test_run_trials_without_a_farm_runs_in_process_and_writes_nothing(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    _SEEN.clear()
+    stats = run_trials("test.experiment.record", {}, 3, base_seed=7)
+    # the measure ran in this process, in seed order
+    assert _SEEN == [7, 8, 9]
+    assert stats.values == (7.0, 8.0, 9.0)
+    # no result cache, journal or stats file
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_trials_rejected():
     with pytest.raises(ConfigError):
         TrialStats(values=())
     with pytest.raises(ConfigError):
-        run_trials(lambda seed: 0.0, 0)
+        run_trials("test.double", {}, 0)
 
 
 def test_stats_of_wraps_values():
@@ -63,15 +91,15 @@ def test_stats_of_wraps_values():
 
 def test_run_trials_rejects_non_integer_counts():
     with pytest.raises(ConfigError):
-        run_trials(lambda seed: 0.0, 4.0)
+        run_trials("test.double", {}, 4.0)
     with pytest.raises(ConfigError):
-        run_trials(lambda seed: 0.0, "4")
+        run_trials("test.double", {}, "4")
     with pytest.raises(ConfigError):
-        run_trials(lambda seed: 0.0, True)
+        run_trials("test.double", {}, True)
 
 
 def test_run_trials_rejects_non_integer_base_seed():
     with pytest.raises(ConfigError):
-        run_trials(lambda seed: float(seed), 2, base_seed=1.5)
+        run_trials("test.double", {}, 2, base_seed=1.5)
     with pytest.raises(ConfigError):
-        run_trials(lambda seed: float(seed), 2, base_seed=False)
+        run_trials("test.double", {}, 2, base_seed=False)

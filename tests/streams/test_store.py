@@ -100,6 +100,23 @@ class TestCorruption:
         assert fresh.corrupt == 1
         assert fresh.get("k2") is not None
 
+    def test_non_object_sidecar_is_quarantined(self, tmp_path):
+        _seed_store(tmp_path)
+        (tmp_path / "k1.json").write_text("[1]\n")  # valid JSON, not an object
+        fresh = StreamStore(tmp_path)
+        assert fresh.get("k1") is None
+        assert fresh.corrupt == 1
+        assert (tmp_path / "quarantine" / "k1.npy").exists()
+        assert fresh.get("k2") is not None
+
+    def test_stats_skip_a_non_object_sidecar(self, tmp_path):
+        _seed_store(tmp_path)
+        (tmp_path / "k1.json").write_text("[1]\n")
+        stats = StreamStore(tmp_path).stats()
+        assert stats["blobs"] == 1  # k2 alone
+        assert stats["compiled_refs"] == 1000
+        assert stats["session"]["corrupt"] == 0  # an inventory moves nothing
+
     def test_blob_without_sidecar_is_a_plain_miss(self, tmp_path):
         """An interrupted put (blob committed, sidecar not) must read as
         a miss — the sidecar is the commit point — and not count as
