@@ -21,6 +21,7 @@ import numpy as np
 
 from repro._types import PAGE_SIZE
 from repro.errors import TapewormError
+from repro.machine.mmu import PAGE_SHIFT
 
 
 @dataclass
@@ -136,7 +137,7 @@ class PageRegistry:
 
     def registered_mask(self, pas: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`is_registered_frame` over physical addresses."""
-        return np.take(self._frame_bitmap, pas // PAGE_SIZE, mode="clip")
+        return self._frame_bitmap.take(pas >> PAGE_SHIFT, mode="clip")
 
     def is_registered_mapping(self, tid: int, va: int) -> bool:
         return (tid, va // PAGE_SIZE) in self._by_mapping

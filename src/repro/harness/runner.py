@@ -32,11 +32,11 @@ from repro.harness.slowdown import (
     normal_run_cycles,
     tapeworm_slowdown,
 )
-from repro.kernel.kernel import COMPONENT_CPI, Kernel
-from repro.kernel.scheduler import Demand, Scheduler, SlicePlanner
+from repro.kernel.kernel import Kernel
+from repro.kernel.scheduler import Scheduler, SlicePlanner
 from repro.kernel.syscalls import SyscallInterface
 from repro.kernel.task import Task
-from repro.machine.cpu import ChunkResult
+from repro.machine.cpu import ChunkResult, ExecContext
 from repro.streams.keys import fingerprint_payload
 from repro.streams.session import active as _streams
 from repro.streams.snapshots import WarmupPlan
@@ -117,6 +117,8 @@ class _WorkloadExecution:
             for name in SYSTEM_TASK_NAMES.values()
         }
         self._tasks["shell"] = self.shell
+        #: each live task's execution context, built when it first runs
+        self._contexts: dict[str, ExecContext] = {}
         self.totals = ChunkResult()
         # -- run-loop cursor (advanced by run(), captured by snapshots)
         self.scheduler = Scheduler(
@@ -198,29 +200,11 @@ class _WorkloadExecution:
 
     def _exit(self, task_name: str) -> None:
         task = self._tasks.pop(task_name)
+        self._contexts.pop(task_name, None)
         self.kernel.exit_task(task.tid)
         self._streams.pop(task_name, None)
 
     # -- the run loop
-
-    def _demands_for(self, phase) -> list[Demand]:
-        # spec demands are Table 4 *time* fractions; divide by CPI to
-        # get reference weights so measured time fractions match
-        demands = []
-        for d in phase.demands:
-            component = (
-                Component.USER
-                if d.task_name == "shell"
-                else self.spec.task(d.task_name).component
-            )
-            demands.append(
-                Demand(
-                    d.task_name,
-                    component,
-                    d.weight / COMPONENT_CPI[component],
-                )
-            )
-        return demands
 
     def reseed_for_measurement(self, trial_seed: int) -> None:
         """Re-arm every per-trial variance source at a snapshot fork.
@@ -263,7 +247,7 @@ class _WorkloadExecution:
                     self._fork(task_name)
                 phase_refs = int(round(options.total_refs * phase.weight))
                 self._planner = self.scheduler.planner(
-                    self._demands_for(phase), phase_refs
+                    self.spec.reference_demands[self._phase_index], phase_refs
                 )
                 self._round = []
                 self._slice_index = 0
@@ -279,22 +263,29 @@ class _WorkloadExecution:
                 self._slice_index = 0
                 self._slice_offset = 0
                 continue
-            time_slice = self._round[self._slice_index]
-            task = self._tasks[time_slice.task_name]
-            stream = self._stream_for(time_slice.task_name)
-            n = min(
-                options.chunk_refs, time_slice.n_refs - self._slice_offset
-            )
-            vas = stream.next_chunk(n)
-            result = self.kernel.run_chunk(task, vas)
-            self.totals.merge(result)
-            if self.chunk_tap is not None:
-                self.chunk_tap(task.tid, task.component, vas)
-            self._slice_offset += n
-            self.executed_refs += n
-            if self._slice_offset >= time_slice.n_refs:
-                self._slice_index += 1
-                self._slice_offset = 0
+            name, _, n_refs = self._round[self._slice_index]
+            ctx = self._contexts.get(name)
+            if ctx is None:
+                ctx = self._contexts[name] = self.kernel.context_for(
+                    self._tasks[name]
+                )
+            stream = self._stream_for(name)
+            run_chunk = self.kernel.machine.cpu.run_chunk
+            while self._slice_offset < n_refs:
+                if (
+                    stop_after_refs is not None
+                    and self.executed_refs >= stop_after_refs
+                ):
+                    return
+                n = min(options.chunk_refs, n_refs - self._slice_offset)
+                vas = stream.next_chunk(n)
+                self.totals.merge(run_chunk(ctx, vas))
+                if self.chunk_tap is not None:
+                    self.chunk_tap(ctx.tid, ctx.component, vas)
+                self._slice_offset += n
+                self.executed_refs += n
+            self._slice_index += 1
+            self._slice_offset = 0
 
 
 def run_uninstrumented(
@@ -381,8 +372,7 @@ def _finish_trap_report(
     tapeworm = kernel.tapeworm
     cpu = kernel.machine.cpu
     stats = tapeworm.snapshot_stats()
-    for component in Component:
-        stats.refs[component] = cpu.refs_by_component[component]
+    stats.refs.update(cpu.refs_by_component)
     stats.masked_misses = execution.totals.masked_traps
     report = TrapRunReport(
         workload=spec.name,

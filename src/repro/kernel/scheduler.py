@@ -16,7 +16,7 @@ paper's variance study (Tables 7–10):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class Demand:
             raise ConfigError(f"negative weight for {self.task_name!r}")
 
 
-@dataclass(frozen=True)
-class TimeSlice:
+class TimeSlice(NamedTuple):
     """A scheduling decision: run this task for this many references."""
 
     task_name: str
@@ -135,31 +134,34 @@ class SlicePlanner:
         if self.exhausted():
             return []
         scheduler = self.scheduler
+        quantum = scheduler.quantum_refs
+        jitter = scheduler.system_jitter
+        draw = scheduler.trial_rng.random
+        weights, target = self.weights, self.target
+        drive_by_user = self.drive_by_user
+        remainders = self.remainders
+        progress = self.progress
         slices: list[TimeSlice] = []
         for index, demand in enumerate(self.demands):
-            is_user = demand.component is Component.USER
-            counts = is_user if self.drive_by_user else True
-            if self.progress >= self.target and counts:
+            component = demand.component
+            is_user = component is Component.USER
+            counts = is_user or not drive_by_user
+            if progress >= target and counts:
                 break
-            exact = scheduler.quantum_refs * demand.weight / self.weights
-            exact += self.remainders[index]
+            exact = quantum * demand.weight / weights + remainders[index]
             grant = int(exact)
-            if demand.component.is_system and scheduler.system_jitter:
+            if jitter and not is_user:
                 # jitter shifts *when* system references run, not how
                 # many: the remainder repays the perturbation, so
                 # cumulative system totals stay on target
-                scale = 1.0 + scheduler.system_jitter * (
-                    2.0 * scheduler.trial_rng.random() - 1.0
-                )
-                grant = int(grant * scale)
-            self.remainders[index] = exact - grant
+                grant = int(grant * (1.0 + jitter * (2.0 * draw() - 1.0)))
+            remainders[index] = exact - grant
             if counts:
-                grant = min(grant, self.target - self.progress)
+                grant = min(grant, target - progress)
             if grant <= 0:
                 continue
             if counts:
-                self.progress += grant
-            slices.append(
-                TimeSlice(demand.task_name, demand.component, grant)
-            )
+                progress += grant
+            slices.append(TimeSlice(demand.task_name, component, grant))
+        self.progress = progress
         return slices

@@ -131,8 +131,12 @@ class VMSystem:
         if alloc_policy == "random":
             rng = np.random.default_rng(trial_seed)
             rng.shuffle(frames)
-        self._free = frames.tolist()
-        self._free.reverse()  # pop() returns the first frame in policy order
+        # the free pool: frames never allocated, in policy order from
+        # ``_next`` on, and the frames given back, reused last-in
+        # first-out before any fresh one
+        self._fresh = frames
+        self._next = 0
+        self._returned: list[int] = []
         #: (share_key, page offset) -> (pfn, refcount)
         self._shared: dict[tuple[str, int], list[int]] = {}
         #: layouts by tid
@@ -156,13 +160,18 @@ class VMSystem:
         is order-insensitive and left untouched.
         """
         self.trial_seed = trial_seed
-        if self.alloc_policy != "random" or not self._free:
+        if self.alloc_policy != "random" or not self.free_frames():
             return
-        frames = np.array(sorted(self._free), dtype=np.int64)
+        frames = np.sort(
+            np.concatenate(
+                [self._fresh[self._next :], np.array(self._returned, dtype=np.int64)]
+            )
+        )
         rng = np.random.default_rng(trial_seed)
         rng.shuffle(frames)
-        self._free = frames.tolist()
-        self._free.reverse()
+        self._fresh = frames
+        self._next = 0
+        self._returned = []
 
     # -- task lifecycle
 
@@ -181,14 +190,18 @@ class VMSystem:
     # -- fault path
 
     def free_frames(self) -> int:
-        return len(self._free)
+        return len(self._returned) + len(self._fresh) - self._next
 
     def _allocate_frame(self) -> int:
-        if not self._free:
+        if not self.free_frames():
             self._evict_one()
-        if not self._free:
+        if self._returned:
+            return self._returned.pop()
+        if self._next == len(self._fresh):
             raise MemoryFault("out of physical memory and nothing evictable")
-        return self._free.pop()
+        pfn = int(self._fresh[self._next])
+        self._next += 1
+        return pfn
 
     def fault(self, tid: int, vpn: int) -> int:
         """Handle a first-touch fault: map the page, tell Tapeworm.
@@ -240,13 +253,13 @@ class VMSystem:
             record[1] -= 1
             if record[1] == 0:
                 del self._shared[entry]
-                self._free.append(pfn)
+                self._returned.append(pfn)
         else:
             try:
                 self._private_pages.remove((tid, vpn))
             except ValueError:
                 pass
-            self._free.append(pfn)
+            self._returned.append(pfn)
 
     def _evict_one(self) -> None:
         """Page out the oldest private page (simple FIFO paging)."""

@@ -198,11 +198,17 @@ class ECCDiagnostic:
         )
 
 
+#: log2 of :data:`GRANULE_BYTES`
+_GRANULE_SHIFT = GRANULE_BYTES.bit_length() - 1
+
+
 def _range_granules(bases: np.ndarray, size: int) -> np.ndarray:
     """The granules of each ``size``-byte range based at ``bases``:
     range by range, ascending within each."""
-    offsets = np.arange(size // GRANULE_BYTES, dtype=np.int64)
-    return ((bases // GRANULE_BYTES)[:, None] + offsets).ravel()
+    if size == GRANULE_BYTES:
+        return bases >> _GRANULE_SHIFT
+    offsets = np.arange(size >> _GRANULE_SHIFT, dtype=np.int64)
+    return ((bases >> _GRANULE_SHIFT)[:, None] + offsets).ravel()
 
 
 class ECCController:
@@ -286,9 +292,12 @@ class ECCController:
         an unrelated fault.
         """
         granules = self._granule_range(pa, size)
-        self._tapeworm[granules.start : granules.stop] = False
-        for granule in granules:
-            self.granule_trapped[granule] = granule in self._true_errors
+        start, stop = granules.start, granules.stop
+        self._tapeworm[start:stop] = False
+        self.granule_trapped[start:stop] = False
+        for granule in self._true_errors:
+            if start <= granule < stop:
+                self.granule_trapped[granule] = True
         self.stats_clears += 1
 
     def retrap_lines(

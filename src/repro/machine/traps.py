@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class TrapFrame:
 TrapHandler = Callable[[TrapFrame], int]
 
 
-@dataclass(frozen=True)
-class TrapSegment:
+class TrapSegment(NamedTuple):
     """A fully mapped run of references offered for batched delivery.
 
     ``candidates`` flags the references whose trap state was set when
@@ -79,8 +78,7 @@ class TrapSegment:
     candidates: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrapBatch:
+class TrapBatch(NamedTuple):
     """What a batch handler delivered: the segment positions that
     trapped, ascending, and the cycles each trap's handler took."""
 

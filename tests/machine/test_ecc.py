@@ -204,6 +204,19 @@ def test_clear_trap_keeps_true_error_trapping(controller):
     assert controller.classify(0x8000) is TrapClass.TRUE_SINGLE
 
 
+def test_page_clear_keeps_only_its_true_error_granules_trapped(controller):
+    controller.set_trap(0xA000, 4096)
+    controller.inject_true_error(0xA7F4, bit=9)  # inside the cleared page
+    controller.inject_true_error(0xB010, bit=2)  # past its end
+    controller.clear_trap(0xA000, 4096)
+    assert np.flatnonzero(controller.granule_trapped).tolist() == [
+        0xA7F0 // GRANULE_BYTES,
+        0xB010 // GRANULE_BYTES,
+    ]
+    assert controller.tapeworm_granules().tolist() == []
+    assert controller.stats_clears == 1
+
+
 def test_bitmap_matches_is_trapped(controller):
     controller.set_trap(0x9000, 4096)
     granules = np.arange(0x9000 // 16, (0x9000 + 4096) // 16)

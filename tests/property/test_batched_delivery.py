@@ -13,8 +13,9 @@ statistics and overhead, dispatcher counts, both ECC bitmaps, the page
 valid bits, cache contents and insertion counts, every set/clear
 counter, and every simulated-clock timeline record.  Fixed cases build
 the states the batch must decline (a trap erased by unshielded DMA, a
-spurious trap, a pending true error) and the segments the CPU never
-offers (masked interrupts, stores).
+spurious trap, a pending true error), a spurious trap it must leave in
+place (on a granule the segment never references), and the segments
+the CPU never offers (masked interrupts, stores).
 
 *Whole segments against reference-at-a-time.*  Per-trap delivery queues
 only the next occurrence of each trapped location in a segment.  Each
@@ -48,9 +49,10 @@ from repro.errors import DoubleBitError
 from repro.faults.injector import MachineFaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.kernel.kernel import Kernel
-from repro.machine.cpu import ChunkResult, ExecContext
+from repro.machine.cpu import GRANULE_BYTES, GRANULE_SHIFT, ChunkResult, ExecContext
 from repro.machine.dma import DMAEngine
 from repro.machine.machine import Machine, MachineConfig
+from repro.machine.mmu import PAGE_SHIFT
 from repro.machine.traps import TrapKind
 from repro.telemetry.session import enabled
 from repro.telemetry.spans import SIM_CLOCK
@@ -330,8 +332,8 @@ _FIXED = dict(
 _WARM = np.arange(0, 2 * PAGE_SIZE, 4, dtype=np.int64)
 
 
-def _warmed(batched: bool) -> tuple[Sim, object]:
-    sim = Sim(_FIXED, batched)
+def _warmed(batched: bool, line_bytes: int = 16) -> tuple[Sim, object]:
+    sim = Sim(dict(_FIXED, line_bytes=line_bytes), batched)
     task = sim.kernel.fork(sim.shell.tid, "victim")
     sim.run(task, _WARM)
     return sim, task
@@ -345,7 +347,7 @@ def _lines_of_set(sim: Sim, task, set_index: int) -> tuple[list[int], int]:
     """The warm-up's line vas in one set, and the resident one."""
     cache = sim.tapeworm.structure
     lines = [
-        int(va) for va in _WARM[::4]
+        int(va) for va in _WARM[:: cache.config.line_bytes // 4]
         if cache.config.set_of(_pa(sim, task, int(va))) == set_index
     ]
     resident = [
@@ -355,8 +357,10 @@ def _lines_of_set(sim: Sim, task, set_index: int) -> tuple[list[int], int]:
     return lines, resident[0]
 
 
-def _perturb_and_run(perturb, chunks, batched: bool) -> tuple[dict, dict]:
-    sim, task = _warmed(batched)
+def _perturb_and_run(
+    perturb, chunks, batched: bool, line_bytes: int = 16
+) -> tuple[dict, dict]:
+    sim, task = _warmed(batched, line_bytes)
     before = dict(sim.machine.dispatcher.segments)
     outcome = None
     with enabled() as session:
@@ -375,11 +379,11 @@ def _perturb_and_run(perturb, chunks, batched: bool) -> tuple[dict, dict]:
     return state, delta
 
 
-def _same_as_per_trap(perturb, chunks) -> tuple[dict, dict]:
+def _same_as_per_trap(perturb, chunks, line_bytes: int = 16) -> tuple[dict, dict]:
     """Both runs' final state, which must agree, and the batched run's
     segment counts by path."""
-    batched, delta = _perturb_and_run(perturb, chunks, batched=True)
-    reference, _ = _perturb_and_run(perturb, chunks, batched=False)
+    batched, delta = _perturb_and_run(perturb, chunks, True, line_bytes)
+    reference, _ = _perturb_and_run(perturb, chunks, False, line_bytes)
     assert batched == reference
     return batched, delta
 
@@ -425,6 +429,72 @@ def test_spurious_trap_on_resident_line_declines():
 
     _, delta = _same_as_per_trap(perturb, _set_chunks(9, picks))
     assert delta["per_trap"] >= 1
+
+
+@pytest.mark.parametrize("line_bytes", [32, 64])
+def test_spurious_trap_in_a_set_without_candidates_survives(line_bytes):
+    """A spurious trap on an unreferenced granule of a resident line,
+    in a set the segment references but that holds no candidate: the
+    batch replays that set as hits and leaves its trap state alone, as
+    per-trap delivery does."""
+
+    marked = []
+
+    def perturb(sim, task):
+        _, resident = _lines_of_set(sim, task, 5)
+        last_granule = _pa(sim, task, resident) + line_bytes - GRANULE_BYTES
+        sim.machine.ecc.set_trap(last_granule, GRANULE_BYTES)
+        marked.append(last_granule // GRANULE_BYTES)
+
+    def chunks(sim, task):
+        _, resident = _lines_of_set(sim, task, 5)
+        lines, other = _lines_of_set(sim, task, 9)
+        yield np.array(
+            [resident, _absent(lines, other)[0], resident + 4], dtype=np.int64
+        ), None
+
+    state, delta = _same_as_per_trap(perturb, chunks, line_bytes)
+    assert delta == {"batch": 1, "per_trap": 0}
+    assert marked[0] in state["tapeworm_granules"]
+
+
+def test_masked_segment_counts_lost_traps_as_the_per_trap_loop():
+    """With interrupts masked and ECC the only trap source, a segment's
+    lost traps are counted without the heap; the per-trap loop on the
+    same state must agree, a granule referenced twice included."""
+    outcomes = []
+    for through_loop in (False, True):
+        sim, task = _warmed(True)
+        lines, resident = _lines_of_set(sim, task, 5)
+        absent = _absent(lines, resident)
+        vas = np.array(
+            [absent[0], resident, absent[0], absent[1]], dtype=np.int64
+        )
+        table = sim.machine.mmu.table(task.tid)
+        vpns, pas = vas >> PAGE_SHIFT, table.translate(vas)
+        ctx = sim.kernel.context_for(task)
+        result = ChunkResult()
+        ecc = sim.machine.ecc
+        sim.machine.mask_interrupts()
+        if through_loop:
+            granules = pas >> GRANULE_SHIFT
+            sim.machine.cpu._process_candidates(
+                ctx, table, vas, vpns, pas, granules,
+                ecc.granule_trapped[granules], None, None, result,
+            )
+        else:
+            sim.machine.cpu._execute_segment(ctx, table, vas, vpns, pas, result)
+        sim.machine.unmask_interrupts()
+        outcomes.append(
+            (
+                dataclasses.asdict(result),
+                np.flatnonzero(ecc.granule_trapped).tolist(),
+                ecc.tapeworm_granules().tolist(),
+                dict(sim.machine.dispatcher.counts),
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0]["masked_traps"] == 3
 
 
 def test_true_error_raises_at_the_same_reference():
