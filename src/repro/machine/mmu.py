@@ -7,9 +7,12 @@ Because the page really is resident, Tapeworm keeps "an extra bit
 maintained in software to indicate the true state of the page" (paper,
 footnote 2) — that is the ``resident`` bit here.
 
-Translation is chunk-vectorized: the execution engine hands whole numpy
-arrays of virtual addresses to :meth:`PageTable.translate`, which is what
-makes simulating tens of millions of references practical in Python.
+Translation is chunk-vectorized, which is what makes simulating tens of
+millions of references practical in Python: the execution engine gathers
+a whole numpy array of frames from ``v2p`` at once (the same gather finds
+the unmapped pages it must fault in first) and builds the physical
+addresses with :meth:`PageTable.addresses_from`;
+:meth:`PageTable.translate` does both for its other callers.
 """
 
 from __future__ import annotations
@@ -139,6 +142,12 @@ class PageTable:
             raise MemoryFault(
                 f"unmapped vpn {bad} reached translation in task {self.tid}"
             )
+        return self.addresses_from(pfns, vas)
+
+    @staticmethod
+    def addresses_from(pfns: np.ndarray, vas: np.ndarray) -> np.ndarray:
+        """The physical addresses of ``vas``, given the frames ``pfns``
+        already gathered from ``v2p`` for them (every page mapped)."""
         return (pfns << PAGE_SHIFT) | (vas & OFFSET_MASK)
 
 

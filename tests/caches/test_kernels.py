@@ -11,6 +11,7 @@ from repro.caches.kernels import (
     collapse_consecutive,
     dm_grouped_pass,
     grouped_stack_pass,
+    line_address,
     pack,
     unpack,
 )
@@ -50,6 +51,17 @@ def test_pack_unpack_round_trip():
     assert [tuple(pair) for pair in zip(*unpack(keys))] == [
         (0, MAX_SPACES - 1), (5, MAX_SPACES - 1), (line, MAX_SPACES - 1),
     ]
+    assert unpack(-1) == (-1, MAX_SPACES - 1)  # the empty key
+
+
+def test_line_address_of_a_physical_key():
+    lines = np.array([-1, 0, 5, 1 << 40], dtype=np.int64)
+    keys = np.where(lines < 0, -1, pack(lines, 0))
+    for shift in (4, 5, 6, 12):
+        assert list(line_address(keys, shift)) == [
+            -1, 0, 5 << shift, (1 << 40) << shift
+        ]
+        assert line_address(int(keys[2]), shift) == 5 << shift
 
 
 # ---------------------------------------------------------------------------
